@@ -46,10 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
+from .comono import clamp, cut, join, meet, ray, zero_high, zero_low
 from .errors import (
     ComodularError,
     EmptyApplicableSet,
@@ -189,28 +191,13 @@ class _Eval:
 # --- identity evaluation -----------------------------------------------------
 #
 # Each axiom is an (enumerate, evaluate) pair.  enumerate yields operand
-# dicts (None counts a skipped instance); evaluate recomputes both sides
-# from the operands alone, so a stored witness replays independently.
+# dicts (None counts a skipped instance); evaluate(ev, phi, grid, n, o)
+# recomputes both sides from the operands alone, so a stored witness
+# replays independently.
 
 
 def _inbox(coords: Iterable[Fraction], box: Interval) -> bool:
     return all(box.contains(c) for c in coords)
-
-
-def _meet(x, y):
-    return tuple(min(a, b) for a, b in zip(x, y))
-
-
-def _join(x, y):
-    return tuple(max(a, b) for a, b in zip(x, y))
-
-
-def _ray(n: int, mask: int, value: Fraction) -> tuple[Fraction, ...]:
-    return tuple(value if mask & (1 << i) else ZERO for i in range(n))
-
-
-def _corner(n: int, mask: int, box: Interval) -> tuple[Fraction, ...]:
-    return tuple(box.hi if mask & (1 << i) else box.lo for i in range(n))
 
 
 def _diag(n: int, value: Fraction) -> tuple[Fraction, ...]:
@@ -224,31 +211,28 @@ def _sign(x: Fraction) -> Fraction:
 def _enum_pairs(comono: bool):
     def enum(grid, n):
         if comono:
-            yield from comonotonic_pairs(grid, n)
+            pairs = comonotonic_pairs(grid, n)
         else:
-            for pair in combinations_with_replacement(grid_points(grid, n), 2):
-                yield pair
-
-    def wrapped(grid, n):
-        for x, y in enum(grid, n):
+            pairs = combinations_with_replacement(grid_points(grid, n), 2)
+        for x, y in pairs:
             yield {"x": x, "y": y}
 
-    return wrapped
+    return enum
 
 
-def _eval_modular(ev, phi, grid, o):
+def _eval_modular(ev, phi, grid, n, o):
     x, y = o["x"], o["y"]
-    return ev.at(x) + ev.at(y), ev.at(_meet(x, y)) + ev.at(_join(x, y)), "eq"
+    return ev.at(x) + ev.at(y), ev.at(meet(x, y)) + ev.at(join(x, y)), "eq"
 
 
-def _eval_maxitive(ev, phi, grid, o):
+# The mirrored identities below take the lattice side first: (join, max)
+# for the maxitive/max versions, (meet, min) for the minitive/min ones, or
+# the cut mode "max"/"min"; AXIOMS binds it with partial.
+
+
+def _eval_lattice(side, pick, ev, phi, grid, n, o):
     x, y = o["x"], o["y"]
-    return ev.at(_join(x, y)), max(ev.at(x), ev.at(y)), "eq"
-
-
-def _eval_minitive(ev, phi, grid, o):
-    x, y = o["x"], o["y"]
-    return ev.at(_meet(x, y)), min(ev.at(x), ev.at(y)), "eq"
+    return ev.at(side(x, y)), pick(ev.at(x), ev.at(y)), "eq"
 
 
 def _enum_comono_sum(grid, n):
@@ -260,7 +244,7 @@ def _enum_comono_sum(grid, n):
             yield None
 
 
-def _eval_comono_additive(ev, phi, grid, o):
+def _eval_comono_additive(ev, phi, grid, n, o):
     x, y = o["x"], o["y"]
     total = tuple(a + b for a, b in zip(x, y))
     return ev.at(total), ev.at(x) + ev.at(y), "eq"
@@ -283,88 +267,44 @@ def _enum_point_level(filter_x=None, filter_c=None, closure=None):
     return enum
 
 
-def _hsplit_min(x, c):
-    low = tuple(min(a, c) for a in x)
-    return low, tuple(a - b for a, b in zip(x, low))
-
-
-def _hsplit_max(x, c):
-    high = tuple(max(a, c) for a in x)
-    return high, tuple(a - b for a, b in zip(x, high))
-
-
-def _closure_hmin(grid, o):
-    _, rest = _hsplit_min(o["x"], o["c"])
+def _closure_cut(mode, grid, o):
+    _, rest = cut(o["x"], o["c"], mode)
     return _inbox(rest, grid.box)
 
 
-def _closure_hmax(grid, o):
-    _, rest = _hsplit_max(o["x"], o["c"])
-    return _inbox(rest, grid.box)
-
-
-def _eval_hmin(ev, phi, grid, o):
-    low, rest = _hsplit_min(o["x"], o["c"])
-    return ev.at(o["x"]), ev.at(low) + ev.at(rest), "eq"
-
-
-def _eval_hmax(ev, phi, grid, o):
-    high, rest = _hsplit_max(o["x"], o["c"])
-    return ev.at(o["x"]), ev.at(high) + ev.at(rest), "eq"
+def _eval_cut(mode, ev, phi, grid, n, o):
+    first, rest = cut(o["x"], o["c"], mode)
+    return ev.at(o["x"]), ev.at(first) + ev.at(rest), "eq"
 
 
 def _closure_hmedian(grid, o):
     x, c = o["x"], o["c"]
     if not grid.box.contains(-c):
         return False
-    med = tuple(min(max(a, -c), c) for a in x)
-    _, rest_min = _hsplit_min(x, c)
-    _, rest_max = _hsplit_max(x, -c)
-    return all(_inbox(p, grid.box) for p in (med, rest_min, rest_max))
+    _, rest_min = cut(x, c, "min")
+    _, rest_max = cut(x, -c, "max")
+    return all(_inbox(p, grid.box) for p in (clamp(x, c), rest_min, rest_max))
 
 
-def _eval_hmedian(ev, phi, grid, o):
+def _eval_hmedian(ev, phi, grid, n, o):
     x, c = o["x"], o["c"]
-    med = tuple(min(max(a, -c), c) for a in x)
-    _, rest_min = _hsplit_min(x, c)
-    _, rest_max = _hsplit_max(x, -c)
-    return ev.at(x), ev.at(med) + ev.at(rest_min) + ev.at(rest_max), "eq"
+    _, rest_min = cut(x, c, "min")
+    _, rest_max = cut(x, -c, "max")
+    return ev.at(x), ev.at(clamp(x, c)) + ev.at(rest_min) + ev.at(rest_max), "eq"
 
 
-def _bracket_low(x, c):
-    return tuple(ZERO if a <= c else a for a in x)
-
-
-def _bracket_high(x, c):
-    return tuple(ZERO if a >= c else a for a in x)
-
-
-def _closure_invar_min(grid, o):
+def _closure_invar(side, zero, grid, o):
     x, c = o["x"], o["c"]
-    b = _bracket_low(x, c)
-    pts = (_meet(x, _diag(len(x), c)), b, _meet(b, _diag(len(x), c)))
+    b = zero(x, c)
+    pts = (side(x, _diag(len(x), c)), b, side(b, _diag(len(x), c)))
     return all(_inbox(p, grid.box) for p in pts)
 
 
-def _eval_invar_min(ev, phi, grid, o):
+def _eval_invar(side, zero, ev, phi, grid, n, o):
     x, c = o["x"], o["c"]
-    cd = _diag(len(x), c)
-    b = _bracket_low(x, c)
-    return ev.at(x) - ev.at(_meet(x, cd)), ev.at(b) - ev.at(_meet(b, cd)), "eq"
-
-
-def _closure_invar_max(grid, o):
-    x, c = o["x"], o["c"]
-    b = _bracket_high(x, c)
-    pts = (_join(x, _diag(len(x), c)), b, _join(b, _diag(len(x), c)))
-    return all(_inbox(p, grid.box) for p in pts)
-
-
-def _eval_invar_max(ev, phi, grid, o):
-    x, c = o["x"], o["c"]
-    cd = _diag(len(x), c)
-    b = _bracket_high(x, c)
-    return ev.at(x) - ev.at(_join(x, cd)), ev.at(b) - ev.at(_join(b, cd)), "eq"
+    cd = _diag(n, c)
+    b = zero(x, c)
+    return ev.at(x) - ev.at(side(x, cd)), ev.at(b) - ev.at(side(b, cd)), "eq"
 
 
 def _enum_scaled_rays(grid, n):
@@ -373,31 +313,30 @@ def _enum_scaled_rays(grid, n):
             for c in grid.axis:
                 if c <= 0:
                     continue
-                if _inbox((c * x,), grid.box) and _inbox(_ray(n, mask, x), grid.box) and _inbox(
-                    _ray(n, mask, c * x), grid.box
+                if _inbox((c * x,), grid.box) and _inbox(ray(n, mask, x), grid.box) and _inbox(
+                    ray(n, mask, c * x), grid.box
                 ):
                     yield {"c": c, "x": x, "subset": mask}
                 else:
                     yield None
 
 
-def _eval_pos_homog(ev, phi, grid, o):
+def _eval_pos_homog(ev, phi, grid, n, o):
     c, x, mask = o["c"], o["x"], o["subset"]
-    n = _grid_arity(o, grid)
-    return ev.at(_ray(n, mask, c * x)), c * ev.at(_ray(n, mask, x)), "eq"
+    return ev.at(ray(n, mask, c * x)), c * ev.at(ray(n, mask, x)), "eq"
 
 
 def _enum_rays(signed: bool):
     def enum(grid, n):
         for mask in range(1 << n):
             for x in grid.axis:
-                pts = [_ray(n, mask, x)]
+                pts = [ray(n, mask, x)]
                 if signed:
                     s = _sign(x)
                     if s != 0:
-                        pts.append(_ray(n, mask, s))
+                        pts.append(ray(n, mask, s))
                 else:
-                    pts.append(_ray(n, mask, ONE))
+                    pts.append(ray(n, mask, ONE))
                 if all(_inbox(p, grid.box) for p in pts):
                     yield {"x": x, "subset": mask}
                 else:
@@ -406,50 +345,45 @@ def _enum_rays(signed: bool):
     return enum
 
 
-def _eval_sign_homog(ev, phi, grid, o):
+def _eval_sign_homog(ev, phi, grid, n, o):
     x, mask = o["x"], o["subset"]
-    n = _grid_arity(o, grid)
     s = _sign(x)
-    rhs = ZERO if s == 0 else s * x * ev.at(_ray(n, mask, s))
-    return ev.at(_ray(n, mask, x)), rhs, "eq"
+    rhs = ZERO if s == 0 else s * x * ev.at(ray(n, mask, s))
+    return ev.at(ray(n, mask, x)), rhs, "eq"
 
 
-def _eval_full_homog(ev, phi, grid, o):
+def _eval_full_homog(ev, phi, grid, n, o):
     x, mask = o["x"], o["subset"]
-    n = _grid_arity(o, grid)
-    return ev.at(_ray(n, mask, x)), x * ev.at(_ray(n, mask, ONE)), "eq"
+    return ev.at(ray(n, mask, x)), x * ev.at(ray(n, mask, ONE)), "eq"
 
 
-def _eval_quasi_homog(ev, phi, grid, o):
+def _eval_quasi_homog(ev, phi, grid, n, o):
     x, mask = o["x"], o["subset"]
-    n = _grid_arity(o, grid)
     s = _sign(x)
-    rhs = ZERO if s == 0 else s * phi(x) * ev.at(_ray(n, mask, s))
-    return ev.at(_ray(n, mask, x)), rhs, "eq"
+    rhs = ZERO if s == 0 else s * phi(x) * ev.at(ray(n, mask, s))
+    return ev.at(ray(n, mask, x)), rhs, "eq"
 
 
-def _eval_quasi_full_homog(ev, phi, grid, o):
+def _eval_quasi_full_homog(ev, phi, grid, n, o):
     x, mask = o["x"], o["subset"]
-    n = _grid_arity(o, grid)
-    return ev.at(_ray(n, mask, x)), phi(x) * ev.at(_ray(n, mask, ONE)), "eq"
+    return ev.at(ray(n, mask, x)), phi(x) * ev.at(ray(n, mask, ONE)), "eq"
 
 
 def _enum_dual_shift(grid, n):
     full = (1 << n) - 1
     for mask in range(1 << n):
-        pts = (_ray(n, full ^ mask, ONE), _ray(n, full, ONE), _ray(n, mask, -ONE))
+        pts = (ray(n, full ^ mask, ONE), ray(n, full, ONE), ray(n, mask, -ONE))
         if all(_inbox(p, grid.box) for p in pts):
             yield {"subset": mask}
         else:
             yield None
 
 
-def _eval_dual_shift(ev, phi, grid, o):
+def _eval_dual_shift(ev, phi, grid, n, o):
     mask = o["subset"]
-    n = _grid_arity(o, grid)
     full = (1 << n) - 1
-    lhs = ev.at(_ray(n, full ^ mask, ONE))
-    rhs = ev.at(_ray(n, full, ONE)) + ev.at(_ray(n, mask, -ONE))
+    lhs = ev.at(ray(n, full ^ mask, ONE))
+    rhs = ev.at(ray(n, full, ONE)) + ev.at(ray(n, mask, -ONE))
     return lhs, rhs, "eq"
 
 
@@ -459,16 +393,9 @@ def _enum_level_point(grid, n):
             yield {"r": r, "x": x}
 
 
-def _eval_quasi_max(ev, phi, grid, o):
+def _eval_quasi_lattice(side, pick, ev, phi, grid, n, o):
     r, x = o["r"], o["x"]
-    lifted = tuple(max(r, a) for a in x)
-    return ev.at(lifted), max(phi(r), ev.at(x)), "eq"
-
-
-def _eval_quasi_min(ev, phi, grid, o):
-    r, x = o["r"], o["x"]
-    lowered = tuple(min(r, a) for a in x)
-    return ev.at(lowered), min(phi(r), ev.at(x)), "eq"
+    return ev.at(side(_diag(n, r), x)), pick(phi(r), ev.at(x)), "eq"
 
 
 def _enum_scalar_subset(grid, n):
@@ -477,20 +404,10 @@ def _enum_scalar_subset(grid, n):
             yield {"x": x, "subset": mask}
 
 
-def _eval_weak_max(ev, phi, grid, o):
+def _eval_weak(side, pick, ev, phi, grid, n, o):
     x, mask = o["x"], o["subset"]
-    n = _grid_arity(o, grid)
-    corner = _corner(n, mask, grid.box)
-    lifted = _join(_diag(n, x), corner)
-    return ev.at(lifted), max(ev.at(_diag(n, x)), ev.at(corner)), "eq"
-
-
-def _eval_weak_min(ev, phi, grid, o):
-    x, mask = o["x"], o["subset"]
-    n = _grid_arity(o, grid)
-    corner = _corner(n, mask, grid.box)
-    lowered = _meet(_diag(n, x), corner)
-    return ev.at(lowered), min(ev.at(_diag(n, x)), ev.at(corner)), "eq"
+    corner = ray(n, mask, grid.box.hi, grid.box.lo)
+    return ev.at(side(_diag(n, x), corner)), pick(ev.at(_diag(n, x)), ev.at(corner)), "eq"
 
 
 def _enum_axis_steps(grid, n):
@@ -504,7 +421,7 @@ def _enum_axis_steps(grid, n):
                 yield {"x": x, "y": y}
 
 
-def _eval_le(ev, phi, grid, o):
+def _eval_le(ev, phi, grid, n, o):
     return ev.at(o["x"]), ev.at(o["y"]), "le"
 
 
@@ -517,7 +434,7 @@ def _enum_negatable(grid, n):
             yield None
 
 
-def _eval_odd(ev, phi, grid, o):
+def _eval_odd(ev, phi, grid, n, o):
     x = o["x"]
     return ev.at(tuple(-a for a in x)), -ev.at(x), "eq"
 
@@ -527,34 +444,24 @@ def _enum_diagonal(grid, n):
         yield {"c": c}
 
 
-def _eval_idempotent(ev, phi, grid, o):
+def _eval_idempotent(ev, phi, grid, n, o):
     c = o["c"]
-    return ev.at(_diag(_grid_arity(o, grid), c)), c, "eq"
+    return ev.at(_diag(n, c)), c, "eq"
 
 
 def _enum_split(grid, n):
+    zero = _diag(n, ZERO)
     for x in grid_points(grid, n):
-        pos = tuple(max(a, ZERO) for a in x)
-        negneg = tuple(min(a, ZERO) for a in x)
-        if _inbox(pos, grid.box) and _inbox(negneg, grid.box):
+        if _inbox(join(x, zero), grid.box) and _inbox(meet(x, zero), grid.box):
             yield {"x": x}
         else:
             yield None
 
 
-def _eval_split(ev, phi, grid, o):
+def _eval_split(ev, phi, grid, n, o):
     x = o["x"]
-    n = len(x)
-    pos = tuple(max(a, ZERO) for a in x)
-    negneg = tuple(min(a, ZERO) for a in x)
-    return ev.at(x) + ev.at(_diag(n, ZERO)), ev.at(pos) + ev.at(negneg), "eq"
-
-
-_ARITY_KEY = "__n"
-
-
-def _grid_arity(o, grid) -> int:
-    return o[_ARITY_KEY]
+    zero = _diag(n, ZERO)
+    return ev.at(x) + ev.at(zero), ev.at(join(x, zero)) + ev.at(meet(x, zero)), "eq"
 
 
 @dataclass(frozen=True)
@@ -574,6 +481,9 @@ def _nonpos(a):
     return a <= 0
 
 
+_MAXITIVE = partial(_eval_lattice, join, max)
+_MINITIVE = partial(_eval_lattice, meet, min)
+
 AXIOMS: dict[str, _AxiomDef] = {
     d.id: d
     for d in (
@@ -584,14 +494,14 @@ AXIOMS: dict[str, _AxiomDef] = {
         ),
         _AxiomDef(
             "horiz_min_additive",
-            _enum_point_level(closure=_closure_hmin),
-            _eval_hmin,
+            _enum_point_level(closure=partial(_closure_cut, "min")),
+            partial(_eval_cut, "min"),
             operand_order=("x", "c"),
         ),
         _AxiomDef(
             "horiz_max_additive",
-            _enum_point_level(closure=_closure_hmax),
-            _eval_hmax,
+            _enum_point_level(closure=partial(_closure_cut, "max")),
+            partial(_eval_cut, "max"),
             operand_order=("x", "c"),
         ),
         _AxiomDef(
@@ -602,20 +512,24 @@ AXIOMS: dict[str, _AxiomDef] = {
         ),
         _AxiomDef(
             "invar_horiz_min_diff",
-            _enum_point_level(filter_x=_nonneg, filter_c=_nonneg, closure=_closure_invar_min),
-            _eval_invar_min,
+            _enum_point_level(
+                filter_x=_nonneg, filter_c=_nonneg, closure=partial(_closure_invar, meet, zero_low)
+            ),
+            partial(_eval_invar, meet, zero_low),
             operand_order=("x", "c"),
         ),
         _AxiomDef(
             "invar_horiz_max_diff",
-            _enum_point_level(filter_x=_nonpos, filter_c=_nonpos, closure=_closure_invar_max),
-            _eval_invar_max,
+            _enum_point_level(
+                filter_x=_nonpos, filter_c=_nonpos, closure=partial(_closure_invar, join, zero_high)
+            ),
+            partial(_eval_invar, join, zero_high),
             operand_order=("x", "c"),
         ),
-        _AxiomDef("maxitive", _enum_pairs(False), _eval_maxitive, operand_order=("x", "y")),
-        _AxiomDef("minitive", _enum_pairs(False), _eval_minitive, operand_order=("x", "y")),
-        _AxiomDef("comono_maxitive", _enum_pairs(True), _eval_maxitive, operand_order=("x", "y")),
-        _AxiomDef("comono_minitive", _enum_pairs(True), _eval_minitive, operand_order=("x", "y")),
+        _AxiomDef("maxitive", _enum_pairs(False), _MAXITIVE, operand_order=("x", "y")),
+        _AxiomDef("minitive", _enum_pairs(False), _MINITIVE, operand_order=("x", "y")),
+        _AxiomDef("comono_maxitive", _enum_pairs(True), _MAXITIVE, operand_order=("x", "y")),
+        _AxiomDef("comono_minitive", _enum_pairs(True), _MINITIVE, operand_order=("x", "y")),
         _AxiomDef(
             "pos_homog_rays", _enum_scaled_rays, _eval_pos_homog, operand_order=("c", "x", "subset")
         ),
@@ -643,22 +557,28 @@ AXIOMS: dict[str, _AxiomDef] = {
         _AxiomDef(
             "quasi_max_homog",
             _enum_level_point,
-            _eval_quasi_max,
+            partial(_eval_quasi_lattice, join, max),
             needs_phi=True,
             operand_order=("r", "x"),
         ),
         _AxiomDef(
             "quasi_min_homog",
             _enum_level_point,
-            _eval_quasi_min,
+            partial(_eval_quasi_lattice, meet, min),
             needs_phi=True,
             operand_order=("r", "x"),
         ),
         _AxiomDef(
-            "weak_max_homog", _enum_scalar_subset, _eval_weak_max, operand_order=("x", "subset")
+            "weak_max_homog",
+            _enum_scalar_subset,
+            partial(_eval_weak, join, max),
+            operand_order=("x", "subset"),
         ),
         _AxiomDef(
-            "weak_min_homog", _enum_scalar_subset, _eval_weak_min, operand_order=("x", "subset")
+            "weak_min_homog",
+            _enum_scalar_subset,
+            partial(_eval_weak, meet, min),
+            operand_order=("x", "subset"),
         ),
         _AxiomDef("nondecreasing", _enum_axis_steps, _eval_le, operand_order=("x", "y")),
         _AxiomDef("odd", _enum_negatable, _eval_odd, operand_order=("x",)),
@@ -692,24 +612,27 @@ class AxiomReport:
             "skipped": self.skipped,
         }
         if self.witness is not None:
-            payload["witness"] = {
-                "operands": {
-                    name: _operand_json(value, mode)
-                    for name, value in self.witness["operands"].items()
-                },
-                "lhs": format_fraction(self.witness["lhs"], mode),
-                "rhs": format_fraction(self.witness["rhs"], mode),
-                "relation": self.witness["relation"],
-            }
+            payload["witness"] = witness_json(self.witness, mode)
+            payload["witness"]["relation"] = self.witness["relation"]
         return payload
 
 
-def _operand_json(value, mode):
-    if isinstance(value, int) and not isinstance(value, bool):
-        return list(elements_of_mask(value))
-    if isinstance(value, tuple):
-        return [format_fraction(v, mode) for v in value]
-    return format_fraction(value, mode)
+def witness_json(witness: dict, mode: str = "rational") -> dict:
+    """Render a witness's operands and both sides; subset operands become
+    element lists, points lists of scalars."""
+
+    def operand(value):
+        if isinstance(value, int) and not isinstance(value, bool):
+            return list(elements_of_mask(value))
+        if isinstance(value, tuple):
+            return [format_fraction(v, mode) for v in value]
+        return format_fraction(value, mode)
+
+    return {
+        "operands": {name: operand(v) for name, v in witness.get("operands", {}).items()},
+        "lhs": format_fraction(witness["lhs"], mode),
+        "rhs": format_fraction(witness["rhs"], mode),
+    }
 
 
 def _operand_key(value):
@@ -754,6 +677,8 @@ def check(
         raise MissingTransform("axiom %s needs an auxiliary transform" % axiom)
     g = as_grid(grid)
     tol = as_fraction(eps)
+    if tol < 0:
+        raise ComodularError("eps must be >= 0, got %s" % tol)
     ev = _Eval(fn)
     tested = skipped = 0
     best_key = None
@@ -762,19 +687,13 @@ def check(
         if operands is None:
             skipped += 1
             continue
-        operands[_ARITY_KEY] = n
-        lhs, rhs, relation = spec.evaluate(ev, phi, g, operands)
+        lhs, rhs, relation = spec.evaluate(ev, phi, g, n, operands)
         tested += 1
         if not _holds(lhs, rhs, relation, tol):
             key = _witness_key(spec, operands)
             if best_key is None or key < best_key:
                 best_key = key
-                best = {
-                    "operands": {k: v for k, v in operands.items() if k != _ARITY_KEY},
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "relation": relation,
-                }
+                best = {"operands": operands, "lhs": lhs, "rhs": rhs, "relation": relation}
     if tested == 0:
         raise EmptyApplicableSet(
             "axiom %s: every candidate instance was skipped on this grid" % axiom
@@ -795,9 +714,7 @@ def replay_witness(
 ) -> bool:
     """Re-evaluate the identity at a stored witness; True means it holds."""
     spec = AXIOMS[axiom]
-    operands = dict(witness["operands"])
-    operands[_ARITY_KEY] = n
-    lhs, rhs, relation = spec.evaluate(_Eval(fn), phi, as_grid(grid), operands)
+    lhs, rhs, relation = spec.evaluate(_Eval(fn), phi, as_grid(grid), n, witness["operands"])
     return _holds(lhs, rhs, relation, as_fraction(eps))
 
 

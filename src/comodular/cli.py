@@ -20,9 +20,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__, selftest
-from .axioms import GridSpec, audit
+from .axioms import GridSpec, audit, witness_json
 from .decompose import (
     FitRefusal,
+    QuasiChoquetFit,
     factorize_quasi_sugeno,
     fit_quasi_choquet,
     fit_signed_choquet,
@@ -34,8 +35,11 @@ from .integrals import INTEGRAL_KINDS, black_box
 from .scalars import as_fraction, format_fraction
 from .setfunc import (
     Interval,
+    SetFunction,
     describe,
     load_set_function,
+    read_json,
+    table_json,
     to_payload,
 )
 from .transforms import TransformFn, transform_from_payload
@@ -63,14 +67,7 @@ def _parse_interval(text: str) -> Interval:
 
 
 def _load_phi(path: Optional[str]) -> Optional[TransformFn]:
-    if path is None:
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ComodularError("%s: not valid JSON (%s)" % (path, exc)) from exc
-    return transform_from_payload(payload)
+    return None if path is None else transform_from_payload(read_json(path))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -91,11 +88,23 @@ def _header(mode: str, eps: Fraction) -> str:
     return ""
 
 
+def _witness_line(witness: Optional[dict], mode: str) -> str:
+    """The indented text line for a witness; empty when there is none."""
+    if witness is None:
+        return ""
+    rendered = witness_json(witness, mode)
+    return "  witness: %s; lhs %s, rhs %s\n" % (
+        json.dumps(rendered["operands"]),
+        rendered["lhs"],
+        rendered["rhs"],
+    )
+
+
 def _black_box_args(args) -> dict:
     capacity = interval = None
     if args.capacity is not None:
         capacity, _, interval = load_set_function(args.capacity)
-    if getattr(args, "interval", None) is not None:
+    if args.interval is not None:
         interval = _parse_interval(args.interval)
     return {
         "capacity": capacity,
@@ -143,16 +152,7 @@ def _cmd_audit(args, mode: str, eps: Fraction) -> int:
                 "%s: %s (tested %d, skipped %d)\n"
                 % (report.axiom, report.verdict, report.tested, report.skipped)
             )
-            if report.witness is not None:
-                rendered = report.to_json(mode)["witness"]
-                lines.append(
-                    "  witness: %s; lhs %s, rhs %s\n"
-                    % (
-                        json.dumps(rendered["operands"]),
-                        rendered["lhs"],
-                        rendered["rhs"],
-                    )
-                )
+            lines.append(_witness_line(report.witness, mode))
         for label in result.summary["classifications"]:
             lines.append("%s\n" % label)
         _emit("".join(lines), args.out)
@@ -174,45 +174,27 @@ def _cmd_fit(args, mode: str, eps: Fraction) -> int:
     refused = isinstance(outcome, FitRefusal)
     if args.format == "json":
         doc = {"verb": "fit", "fit": args.fit, "mode": mode}
-        if refused:
-            doc.update(outcome.to_json(mode))
-        elif hasattr(outcome, "to_json"):
-            doc.update(outcome.to_json(mode))
+        if isinstance(outcome, SetFunction):
+            doc.update(fitted=True, capacity=table_json(outcome.values, mode))
         else:
-            doc["fitted"] = True
-            doc["capacity"] = to_payload(outcome)["values"]
+            doc.update(outcome.to_json(mode))
         _emit(_json_doc(doc), args.out)
+    elif refused:
+        body = "refused: %s" % outcome.condition
+        if outcome.detail:
+            body += " (%s)" % outcome.detail
+        _emit(_header(mode, eps) + body + "\n" + _witness_line(outcome.witness, mode), args.out)
     else:
-        head = _header(mode, eps)
-        if refused:
-            body = "refused: %s" % outcome.condition
-            if outcome.detail:
-                body += " (%s)" % outcome.detail
-            if outcome.witness is not None:
-                rendered = outcome.to_json(mode)["witness"]
-                body += "\n  witness: %s; lhs %s, rhs %s" % (
-                    json.dumps(rendered["operands"]),
-                    rendered["lhs"],
-                    rendered["rhs"],
-                )
-            _emit(head + body + "\n", args.out)
-        else:
-            table = outcome if not hasattr(outcome, "capacity") else outcome.capacity
-            if hasattr(table, "values"):
-                _emit(head + "fitted\n" + describe(table) + "\n", args.out)
-            else:
-                _emit(head + "fitted\n", args.out)
+        table = outcome.capacity if isinstance(outcome, QuasiChoquetFit) else outcome
+        body = describe(table) + "\n" if isinstance(table, SetFunction) else ""
+        _emit(_header(mode, eps) + "fitted\n" + body, args.out)
     return 1 if refused else 0
 
 
 def _cmd_gen(args, mode: str, eps: Fraction) -> int:
     interval = _parse_interval(args.interval) if args.interval else Interval(0, 1)
     table = generate(args.role, args.seed, args.n, interval)
-    if args.role == "ivalued":
-        payload = to_payload(table, role="ivalued", interval=interval)
-    else:
-        payload = to_payload(table, role=args.role)
-    _emit(_json_doc(payload), args.out)
+    _emit(_json_doc(to_payload(table, role=args.role, interval=interval)), args.out)
     return 0
 
 
@@ -295,6 +277,8 @@ def main(argv=None) -> int:
         eps = as_fraction(args.eps) if args.eps is not None else (
             FLOAT_EPS if args.mode == "float" else Fraction(0)
         )
+        if eps < 0:
+            raise ComodularError("--eps must be >= 0, got %s" % eps)
         handler = {
             "eval": _cmd_eval,
             "audit": _cmd_audit,

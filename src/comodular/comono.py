@@ -30,6 +30,8 @@ from .errors import (
 from .scalars import Scalar, as_fraction, as_fraction_tuple
 from .setfunc import Interval, SubsetLike, mask_from_subset
 
+ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class Point:
@@ -132,12 +134,52 @@ def is_comonotonic(x: PointLike, y: PointLike) -> bool:
     return True
 
 
+# Tuple-level kernels: bare Fraction tuples in and out, no coercion or box
+# checks, for the auditor and the forms.  The Point-level functions after
+# them add the coercion and validation a public caller needs.
+
+
+def meet(x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return tuple(min(a, b) for a, b in zip(x, y))
+
+
+def join(x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return tuple(max(a, b) for a, b in zip(x, y))
+
+
+def ray(n: int, mask: int, on: Fraction, off: Fraction = ZERO) -> tuple[Fraction, ...]:
+    """on at the elements of mask, off elsewhere; a box corner is ray(n, S, hi, lo)."""
+    return tuple(on if mask & (1 << i) else off for i in range(n))
+
+
+def cut(x: Sequence[Fraction], c: Fraction, mode: str) -> tuple[tuple, tuple]:
+    """(x /\\ c, x - x /\\ c) for mode "min", (x \\/ c, x - x \\/ c) otherwise."""
+    if mode == "min":
+        first = tuple(min(a, c) for a in x)
+    else:
+        first = tuple(max(a, c) for a in x)
+    return first, tuple(a - b for a, b in zip(x, first))
+
+
+def zero_low(x: Sequence[Fraction], c: Fraction) -> tuple[Fraction, ...]:
+    """[x]_c: every coordinate <= c set to 0."""
+    return tuple(ZERO if a <= c else a for a in x)
+
+
+def zero_high(x: Sequence[Fraction], c: Fraction) -> tuple[Fraction, ...]:
+    """[x]^c: every coordinate >= c set to 0."""
+    return tuple(ZERO if a >= c else a for a in x)
+
+
+def clamp(x: Sequence[Fraction], r: Fraction) -> tuple[Fraction, ...]:
+    """Componentwise median of (-r, x_i, r)."""
+    return tuple(min(max(a, -r), r) for a in x)
+
+
 def meet_join(x: PointLike, y: PointLike) -> tuple[Point, Point]:
     """Componentwise (min, max)."""
     px, py = _pair(x, y)
-    meet = tuple(min(a, b) for a, b in zip(px.coords, py.coords))
-    join = tuple(max(a, b) for a, b in zip(px.coords, py.coords))
-    return Point(meet, px.box), Point(join, px.box)
+    return Point(meet(px.coords, py.coords), px.box), Point(join(px.coords, py.coords), px.box)
 
 
 def split_parts(x: PointLike) -> tuple[Point, Point]:
@@ -162,13 +204,9 @@ def horizontal_split(x: PointLike, c: Scalar, mode: str) -> tuple[Point, Point]:
     """
     p = as_point(x)
     level = as_fraction(c)
-    if mode == "min":
-        first = tuple(min(a, level) for a in p.coords)
-    elif mode == "max":
-        first = tuple(max(a, level) for a in p.coords)
-    else:
+    if mode not in ("min", "max"):
         raise ComodularError("mode must be 'min' or 'max', got %r" % (mode,))
-    rest = tuple(a - b for a, b in zip(p.coords, first))
+    first, rest = cut(p.coords, level, mode)
     return Point(first, p.box), Point(rest, p.box)
 
 
@@ -180,15 +218,14 @@ def bracket(x: PointLike, c: Scalar, mode: str) -> Point:
     """
     p = as_point(x)
     level = as_fraction(c)
-    zero = Fraction(0)
     if mode == "low":
         if level < 0:
             raise BadThresholdSign("mode 'low' needs c >= 0, got %s" % level)
-        coords = tuple(zero if a <= level else a for a in p.coords)
+        coords = zero_low(p.coords, level)
     elif mode == "high":
         if level > 0:
             raise BadThresholdSign("mode 'high' needs c <= 0, got %s" % level)
-        coords = tuple(zero if a >= level else a for a in p.coords)
+        coords = zero_high(p.coords, level)
     else:
         raise ComodularError("mode must be 'low' or 'high', got %r" % (mode,))
     return Point(coords, p.box)
@@ -200,8 +237,7 @@ def median_clamp(x: PointLike, c: Scalar) -> Point:
     radius = as_fraction(c)
     if radius < 0:
         raise NegativeRadius("clamp radius must be >= 0, got %s" % radius)
-    coords = tuple(min(max(a, -radius), radius) for a in p.coords)
-    return Point(coords, p.box)
+    return Point(clamp(p.coords, radius), p.box)
 
 
 def indicator(
@@ -230,5 +266,4 @@ def indicator(
             box = interval
     else:
         raise ComodularError("kind must be 'unit', 'signed' or 'endpoints', got %r" % (kind,))
-    coords = tuple(on if mask & (1 << i) else off for i in range(n))
-    return Point(coords, box)
+    return Point(ray(n, mask, on, off), box)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .axioms import AxiomReport, Grid, GridLike, as_grid, check, grid_points
-from .comono import PointLike, as_point, sorted_view
+from .axioms import Grid, GridLike, as_grid, check, grid_points, witness_json
+from .comono import PointLike, as_point, ray, sorted_view
 from .errors import (
     ComodularError,
     DomainGap,
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .integrals import choquet, quasi_choquet, symmetric_choquet
 from .scalars import Scalar, as_fraction, format_fraction
-from .setfunc import Interval, SetFunction, elements_of_mask, full_mask
+from .setfunc import Interval, SetFunction, elements_of_mask, full_mask, table_json
 from .transforms import (
     NONDECREASING,
     VANISHES_AT_0,
@@ -67,33 +67,12 @@ class FitRefusal:
         return False
 
     def to_json(self, mode: str = "rational") -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = {
-                "operands": {
-                    k: _json_value(v, mode) for k, v in self.witness.get("operands", {}).items()
-                },
-                "lhs": format_fraction(self.witness["lhs"], mode),
-                "rhs": format_fraction(self.witness["rhs"], mode),
-            }
         return {
             "fitted": False,
             "condition": self.condition,
-            "witness": witness,
+            "witness": None if self.witness is None else witness_json(self.witness, mode),
             "detail": self.detail,
         }
-
-
-def _json_value(value, mode):
-    if isinstance(value, int) and not isinstance(value, bool):
-        return list(elements_of_mask(value))
-    if isinstance(value, tuple):
-        return [format_fraction(v, mode) for v in value]
-    return format_fraction(value, mode)
-
-
-def _refusal_from_report(report: AxiomReport, detail: str = "") -> FitRefusal:
-    return FitRefusal(report.axiom, report.witness, detail)
 
 
 def _value_witness(x, lhs, rhs) -> dict:
@@ -104,12 +83,30 @@ def _close(a: Fraction, b: Fraction, eps: Fraction) -> bool:
     return abs(a - b) <= eps
 
 
-def _ray(n: int, mask: int, value: Fraction) -> tuple[Fraction, ...]:
-    return tuple(value if mask & (1 << i) else ZERO for i in range(n))
+def _form_coords(n: int, x: PointLike, axis: Optional[tuple] = None) -> tuple[Fraction, ...]:
+    """The coordinates of x, which a form over n criteria (sampled on axis,
+    when given) can evaluate; anything else is an OffAxisPoint."""
+    coords = as_point(x).coords
+    if len(coords) != n:
+        raise OffAxisPoint("expected %d coordinates, got %d" % (n, len(coords)))
+    if axis is not None:
+        allowed = set(axis)
+        for c in coords:
+            if c not in allowed:
+                raise OffAxisPoint("coordinate %s is not on the sampled axis" % c)
+    return coords
 
 
-def _corner(n: int, mask: int, box: Interval) -> tuple[Fraction, ...]:
-    return tuple(box.hi if mask & (1 << i) else box.lo for i in range(n))
+def _traces_json(table: dict, mode: str) -> list[dict]:
+    """A table keyed by (subset mask, axis value) as sorted set/x/value rows."""
+    return [
+        {
+            "set": list(elements_of_mask(mask)),
+            "x": format_fraction(x, mode),
+            "value": format_fraction(val, mode),
+        }
+        for (mask, x), val in sorted(table.items())
+    ]
 
 
 # --- separation form ----------------------------------------------------------
@@ -137,22 +134,12 @@ class SeparationForm:
             raise OffAxisPoint("h was not sampled at %s on %s" % (x, elements_of_mask(mask)))
 
     def to_json(self, mode: str = "rational") -> dict:
-        def dump(table):
-            return [
-                {
-                    "set": list(elements_of_mask(mask)),
-                    "x": format_fraction(x, mode),
-                    "value": format_fraction(val, mode),
-                }
-                for (mask, x), val in sorted(table.items())
-            ]
-
         return {
             "n": self.n,
             "axis": [format_fraction(a, mode) for a in self.axis],
             "f_zero": format_fraction(self.f_zero, mode),
-            "g": dump(self.g_table),
-            "h": dump(self.h_table),
+            "g": _traces_json(self.g_table, mode),
+            "h": _traces_json(self.h_table, mode),
         }
 
 
@@ -169,7 +156,7 @@ def build_separation(fn: Callable, n: int, grid: GridLike) -> SeparationForm:
     h_table = {}
     for mask in range(1 << n):
         for x in g.axis:
-            value = as_fraction(fn(_ray(n, mask, x)))
+            value = as_fraction(fn(ray(n, mask, x)))
             if x >= 0:
                 g_table[(mask, x)] = value
             if x <= 0:
@@ -180,13 +167,7 @@ def build_separation(fn: Callable, n: int, grid: GridLike) -> SeparationForm:
 
 def eval_separation(form: SeparationForm, x: PointLike) -> Fraction:
     """Telescoping reconstruction: lower chains below 0, upper chains above."""
-    coords = as_point(x).coords
-    if len(coords) != form.n:
-        raise OffAxisPoint("expected %d coordinates, got %d" % (form.n, len(coords)))
-    allowed = set(form.axis)
-    for c in coords:
-        if c not in allowed:
-            raise OffAxisPoint("coordinate %s is not on the sampled axis" % c)
+    coords = _form_coords(form.n, x, form.axis)
     sv = sorted_view(coords)
     p = sv.split
     total = form.f_zero
@@ -224,14 +205,7 @@ class NormalForm:
             "mode": self.mode,
             "interval": self.interval.to_json(),
             "axis": [format_fraction(a, mode) for a in self.axis],
-            "traces": [
-                {
-                    "set": list(elements_of_mask(mask)),
-                    "x": format_fraction(x, mode),
-                    "value": format_fraction(val, mode),
-                }
-                for (mask, x), val in sorted(self.tables.items())
-            ],
+            "traces": _traces_json(self.tables, mode),
         }
 
 
@@ -245,8 +219,7 @@ def build_normal_form(
     """
     if mode not in ("maxitive", "minitive"):
         raise ComodularError("mode must be 'maxitive' or 'minitive', got %r" % (mode,))
-    g = as_grid(axis) if not isinstance(axis, Grid) else axis
-    g = Grid(tuple(set(g.axis) | {interval.lo, interval.hi}), interval)
+    g = Grid(tuple(set(as_grid(axis).axis) | {interval.lo, interval.hi}), interval)
     mono = check("nondecreasing", fn, n, g)
     if not mono.passed:
         raise NotNondecreasing(
@@ -254,26 +227,16 @@ def build_normal_form(
             % (mono.witness["operands"]["x"], mono.witness["operands"]["y"]),
             witness=mono.witness,
         )
-    tables = {}
-    for mask in range(1 << n):
-        for x in g.axis:
-            if mode == "maxitive":
-                point = tuple(x if mask & (1 << i) else interval.lo for i in range(n))
-            else:
-                point = tuple(x if mask & (1 << i) else interval.hi for i in range(n))
-            tables[(mask, x)] = as_fraction(fn(point))
+    off = interval.lo if mode == "maxitive" else interval.hi
+    tables = {
+        (mask, x): as_fraction(fn(ray(n, mask, x, off))) for mask in range(1 << n) for x in g.axis
+    }
     return NormalForm(n, mode, interval, g.axis, tables)
 
 
 def eval_normal_form(form: NormalForm, x: PointLike) -> Fraction:
     """Lattice combination of the traces; empty meet/join is the box end."""
-    coords = as_point(x).coords
-    if len(coords) != form.n:
-        raise OffAxisPoint("expected %d coordinates, got %d" % (form.n, len(coords)))
-    allowed = set(form.axis)
-    for c in coords:
-        if c not in allowed:
-            raise OffAxisPoint("coordinate %s is not on the sampled axis" % c)
+    coords = _form_coords(form.n, x, form.axis)
     best = None
     for mask in range(1 << form.n):
         members = [coords[i] for i in range(form.n) if mask & (1 << i)]
@@ -295,9 +258,7 @@ def chain_eval_normal_form(form: NormalForm, x: PointLike) -> Fraction:
     (minitive); agrees with eval_normal_form for functions the form
     faithfully represents.
     """
-    coords = as_point(x).coords
-    if len(coords) != form.n:
-        raise OffAxisPoint("expected %d coordinates, got %d" % (form.n, len(coords)))
+    coords = _form_coords(form.n, x)
     sv = sorted_view(coords)
     best = None
     for i in range(1, form.n + 1):
@@ -322,13 +283,7 @@ class QuasiChoquetFit:
     def to_json(self, mode: str = "rational") -> dict:
         return {
             "fitted": True,
-            "capacity": [
-                {
-                    "set": list(elements_of_mask(mask)),
-                    "value": format_fraction(self.capacity.values[mask], mode),
-                }
-                for mask in range(1 << self.capacity.n)
-            ],
+            "capacity": table_json(self.capacity.values, mode),
             "transform": {
                 "breakpoints": [
                     [format_fraction(x, mode), format_fraction(y, mode)]
@@ -340,7 +295,52 @@ class QuasiChoquetFit:
 
 
 def _table_from_rays(fn: Callable, n: int, level: Fraction) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(fn(_ray(n, mask, level))) for mask in range(1 << n))
+    return tuple(as_fraction(fn(ray(n, mask, level))) for mask in range(1 << n))
+
+
+# The fit skeleton: each fit checks its domain, then the steps below in
+# order, and returns the first refusal.  A step's None means it passed;
+# a FitRefusal is falsy, so steps are tested with "is None", never chained
+# with "or".
+
+
+def _origin_refusal(fn: Callable, n: int, tol: Fraction) -> Optional[FitRefusal]:
+    """Refuse a function that does not vanish at the origin."""
+    origin = (ZERO,) * n
+    f_zero = as_fraction(fn(origin))
+    if _close(f_zero, ZERO, tol):
+        return None
+    return FitRefusal(
+        "vanishes_at_origin", _value_witness(origin, f_zero, ZERO), "f(0) = %s" % f_zero
+    )
+
+
+def _check_refusal(
+    fn: Callable, n: int, g: Grid, tol: Fraction, axioms, phi: Optional[TransformFn] = None
+) -> Optional[FitRefusal]:
+    """Check the hypotheses in order; the first failure becomes the refusal."""
+    for axiom in axioms:
+        report = check(axiom, fn, n, g, phi=phi, eps=tol)
+        if not report.passed:
+            return FitRefusal(report.axiom, report.witness)
+    return None
+
+
+def _regenerates(
+    fn: Callable, n: int, g: Grid, tol: Fraction, rebuild: Callable, fitted, what: str
+):
+    """fitted when rebuild reproduces f at every grid point, else a refusal
+    at the first point where it does not."""
+    for x in grid_points(g, n):
+        expect = as_fraction(fn(x))
+        got = rebuild(x)
+        if not _close(expect, got, tol):
+            return FitRefusal(
+                "reconstruction",
+                _value_witness(x, expect, got),
+                "%s does not regenerate f" % what,
+            )
+    return fitted
 
 
 def fit_signed_choquet(
@@ -357,31 +357,16 @@ def fit_signed_choquet(
     tol = as_fraction(eps)
     if not (g.box.contains(ZERO) and g.box.contains(ONE)):
         return FitRefusal("domain", None, "box %s cannot reach the 0/1 ray points" % g.box)
-    f_zero = as_fraction(fn((ZERO,) * n))
-    if not _close(f_zero, ZERO, tol):
-        return FitRefusal(
-            "vanishes_at_origin",
-            _value_witness((ZERO,) * n, f_zero, ZERO),
-            "f(0) = %s" % f_zero,
-        )
     axiom_ids = ["comono_modular", "sign_homog_rays"]
     if g.box.lo <= -1:
         axiom_ids.append("dual_shift")
-    for axiom in axiom_ids:
-        report = check(axiom, fn, n, g, eps=tol)
-        if not report.passed:
-            return _refusal_from_report(report)
+    refusal = _origin_refusal(fn, n, tol)
+    if refusal is None:
+        refusal = _check_refusal(fn, n, g, tol, axiom_ids)
+    if refusal is not None:
+        return refusal
     v = SetFunction(n, _table_from_rays(fn, n, ONE))
-    for x in grid_points(g, n):
-        expect = as_fraction(fn(x))
-        got = choquet(v, x)
-        if not _close(expect, got, tol):
-            return FitRefusal(
-                "reconstruction",
-                _value_witness(x, expect, got),
-                "recovered capacity does not regenerate f",
-            )
-    return v
+    return _regenerates(fn, n, g, tol, lambda x: choquet(v, x), v, "recovered capacity")
 
 
 def fit_symmetric_choquet(
@@ -395,21 +380,11 @@ def fit_symmetric_choquet(
         return FitRefusal(
             "domain", None, "box %s is not a symmetric box containing [-1, 1]" % g.box
         )
-    for axiom in ("comono_modular", "full_homog_rays"):
-        report = check(axiom, fn, n, g, eps=tol)
-        if not report.passed:
-            return _refusal_from_report(report)
+    refusal = _check_refusal(fn, n, g, tol, ("comono_modular", "full_homog_rays"))
+    if refusal is not None:
+        return refusal
     v = SetFunction(n, _table_from_rays(fn, n, ONE))
-    for x in grid_points(g, n):
-        expect = as_fraction(fn(x))
-        got = symmetric_choquet(v, x)
-        if not _close(expect, got, tol):
-            return FitRefusal(
-                "reconstruction",
-                _value_witness(x, expect, got),
-                "recovered capacity does not regenerate f",
-            )
-    return v
+    return _regenerates(fn, n, g, tol, lambda x: symmetric_choquet(v, x), v, "recovered capacity")
 
 
 def fit_quasi_choquet(
@@ -432,25 +407,19 @@ def fit_quasi_choquet(
         return FitRefusal("domain", None, "side 'pos' needs a [0, w] box with w >= 1")
     if side == "neg" and not (g.box.hi == 0 and g.box.lo <= -1):
         return FitRefusal("domain", None, "side 'neg' needs a [-w, 0] box with w >= 1")
-    f_zero = as_fraction(fn((ZERO,) * n))
-    if not _close(f_zero, ZERO, tol):
-        return FitRefusal(
-            "vanishes_at_origin",
-            _value_witness((ZERO,) * n, f_zero, ZERO),
-            "f(0) = %s" % f_zero,
-        )
     invariance = "invar_horiz_min_diff" if side == "pos" else "invar_horiz_max_diff"
-    report = check(invariance, fn, n, g, eps=tol)
-    if not report.passed:
-        return _refusal_from_report(report)
+    refusal = _origin_refusal(fn, n, tol)
+    if refusal is None:
+        refusal = _check_refusal(fn, n, g, tol, (invariance,))
+    if refusal is not None:
+        return refusal
 
-    anchor_level = ONE if side == "pos" else -ONE
-    anchors = _table_from_rays(fn, n, anchor_level)
+    sign = ONE if side == "pos" else -ONE
+    anchors = _table_from_rays(fn, n, sign)
     base = next((mask for mask in range(1 << n) if abs(anchors[mask]) > tol), None)
     if base is None:
-        flat = all(
-            _close(as_fraction(fn(x)), f_zero, tol) for x in grid_points(g, n)
-        )
+        # anchors[0] is f at the origin: the empty ray
+        flat = all(_close(as_fraction(fn(x)), anchors[0], tol) for x in grid_points(g, n))
         return FitRefusal(
             "nonzero_ray",
             None,
@@ -458,11 +427,10 @@ def fit_quasi_choquet(
             % ("constant" if flat else "not constant"),
         )
 
-    sign = ONE if side == "pos" else -ONE
     denom = anchors[base]
     samples = []
     for x in g.axis:
-        value = sign * as_fraction(fn(_ray(n, base, x))) / denom
+        value = sign * as_fraction(fn(ray(n, base, x))) / denom
         samples.append((x, value))
     for (x0, y0), (x1, y1) in zip(samples, samples[1:]):
         if y0 > y1 + tol:
@@ -478,26 +446,19 @@ def fit_quasi_choquet(
         # leave samples that violate the exact flags.
         return FitRefusal("transform", None, str(exc))
 
-    report = check("quasi_homog_rays", fn, n, g, phi=phi, eps=tol)
-    if not report.passed:
-        return _refusal_from_report(report)
+    refusal = _check_refusal(fn, n, g, tol, ("quasi_homog_rays",), phi=phi)
+    if refusal is not None:
+        return refusal
 
     if side == "pos":
-        v = SetFunction(n, _table_from_rays(fn, n, ONE))
+        v = SetFunction(n, anchors)
     else:
         full = full_mask(n)
         at_full = anchors[full]
         v = SetFunction(n, tuple(anchors[full ^ mask] - at_full for mask in range(1 << n)))
-    for x in grid_points(g, n):
-        expect = as_fraction(fn(x))
-        got = quasi_choquet(v, phi, x)
-        if not _close(expect, got, tol):
-            return FitRefusal(
-                "reconstruction",
-                _value_witness(x, expect, got),
-                "recovered pair does not regenerate f",
-            )
-    return QuasiChoquetFit(v, phi)
+    return _regenerates(
+        fn, n, g, tol, lambda x: quasi_choquet(v, phi, x), QuasiChoquetFit(v, phi), "recovered pair"
+    )
 
 
 # --- quasi-Sugeno factorization -----------------------------------------------
@@ -518,41 +479,29 @@ class QuasiSugenoForm:
         except KeyError:
             raise OffAxisPoint("diagonal trace was not sampled at %s" % x)
 
-    def _coords(self, x: PointLike) -> tuple[Fraction, ...]:
-        coords = as_point(x).coords
-        if len(coords) != self.n:
-            raise OffAxisPoint("expected %d coordinates, got %d" % (self.n, len(coords)))
-        return coords
-
-    def eval(self, x: PointLike) -> Fraction:
-        coords = self._coords(x)
-        best = None
+    def _terms(self, x: PointLike) -> list[Fraction]:
+        """mu(S) /\\ min of the diagonal trace over S, for each S by ascending mask."""
+        levels = [self.phi(c) for c in _form_coords(self.n, x)]
+        terms = []
         for mask in range(1 << self.n):
             term = self.mu_values[mask]
             for i in range(self.n):
                 if mask & (1 << i):
-                    term = min(term, self.phi(coords[i]))
-            best = term if best is None else max(best, term)
-        return best
+                    term = min(term, levels[i])
+            terms.append(term)
+        return terms
+
+    def eval(self, x: PointLike) -> Fraction:
+        return max(self._terms(x))
 
     def argmax_subset(self, x: PointLike) -> int:
         """Lexicographically first subset whose term attains the maximum."""
-        coords = self._coords(x)
-        best = None
-        best_mask = 0
-        for mask in range(1 << self.n):
-            term = self.mu_values[mask]
-            for i in range(self.n):
-                if mask & (1 << i):
-                    term = min(term, self.phi(coords[i]))
-            if best is None or term > best:
-                best = term
-                best_mask = mask
-        return best_mask
+        terms = self._terms(x)
+        return terms.index(max(terms))
 
     def threshold_set(self, x: PointLike) -> tuple[int, ...]:
         """Elements whose diagonal value is dominated by the maximal term."""
-        coords = self._coords(x)
+        coords = _form_coords(self.n, x)
         level = self.eval(x)
         return tuple(j + 1 for j in range(self.n) if self.phi(coords[j]) <= level)
 
@@ -562,13 +511,7 @@ class QuasiSugenoForm:
             "n": self.n,
             "box": self.box.to_json(),
             "axis": [format_fraction(a, mode) for a in self.axis],
-            "mu": [
-                {
-                    "set": list(elements_of_mask(mask)),
-                    "value": format_fraction(self.mu_values[mask], mode),
-                }
-                for mask in range(1 << self.n)
-            ],
+            "mu": table_json(self.mu_values, mode),
             "phi": [
                 [format_fraction(x, mode), format_fraction(y, mode)]
                 for x, y in sorted(self.phi_table.items())
@@ -592,35 +535,21 @@ def factorize_quasi_sugeno(
     """
     g = as_grid(grid)
     tol = as_fraction(eps)
-    for axiom in ("nondecreasing", "weak_max_homog", "weak_min_homog"):
-        report = check(axiom, fn, n, g, eps=tol)
-        if not report.passed:
-            return _refusal_from_report(report)
-    mu = tuple(as_fraction(fn(_corner(n, mask, g.box))) for mask in range(1 << n))
+    refusal = _check_refusal(fn, n, g, tol, ("nondecreasing", "weak_max_homog", "weak_min_homog"))
+    if refusal is not None:
+        return refusal
+    corners = [ray(n, mask, g.box.hi, g.box.lo) for mask in range(1 << n)]
+    mu = tuple(as_fraction(fn(corner)) for corner in corners)
     phi_table = {x: as_fraction(fn((x,) * n)) for x in g.axis}
     if codomain is not None:
-        for mask, value in enumerate(mu):
+        samples = [(corner, value, "corner") for corner, value in zip(corners, mu)]
+        samples += [((x,) * n, value, "diagonal") for x, value in phi_table.items()]
+        for point, value, what in samples:
             if not codomain.contains(value):
                 return FitRefusal(
                     "codomain",
-                    _value_witness(_corner(n, mask, g.box), value, codomain.lo),
-                    "corner value %s escapes %s" % (value, codomain),
-                )
-        for x, value in phi_table.items():
-            if not codomain.contains(value):
-                return FitRefusal(
-                    "codomain",
-                    _value_witness((x,) * n, value, codomain.lo),
-                    "diagonal value %s escapes %s" % (value, codomain),
+                    _value_witness(point, value, codomain.lo),
+                    "%s value %s escapes %s" % (what, value, codomain),
                 )
     form = QuasiSugenoForm(n, g.box, g.axis, mu, phi_table, codomain)
-    for x in grid_points(g, n):
-        expect = as_fraction(fn(x))
-        got = form.eval(x)
-        if not _close(expect, got, tol):
-            return FitRefusal(
-                "reconstruction",
-                _value_witness(x, expect, got),
-                "max-min form does not regenerate f",
-            )
-    return form
+    return _regenerates(fn, n, g, tol, form.eval, form, "max-min form")

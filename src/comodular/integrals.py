@@ -179,8 +179,6 @@ def sugeno_normal_form(
 
 
 def _transformed(phi: TransformFn, coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if phi is None:
-        raise MissingTransform("this integral needs a scalar transform")
     return tuple(phi(c) for c in coords)
 
 
@@ -269,6 +267,8 @@ def black_box(
     Returns (function, arity).  kind "mean" needs n; every other kind reads
     the arity off the capacity.
     """
+    if n is not None and n < 1:
+        raise ComodularError("n must be at least 1, got %d" % n)
     if kind == "mean":
         if n is None:
             raise ComodularError("kind 'mean' needs an explicit n")

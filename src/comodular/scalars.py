@@ -10,7 +10,7 @@ they mean exactly what they say.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import ComodularError
 
@@ -50,7 +50,3 @@ def format_fraction(q: Fraction, mode: str = "rational") -> str:
     if mode == "float":
         return repr(float(q))
     return str(q)
-
-
-def format_point(coords: Sequence[Fraction], mode: str = "rational") -> list[str]:
-    return [format_fraction(c, mode) for c in coords]

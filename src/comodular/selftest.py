@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from . import __version__
 from .axioms import GridSpec, as_grid, audit, check, grid_points, replay_witness
@@ -48,10 +48,6 @@ WIDE5 = GridSpec(WIDE, points_per_axis=5)
 
 CONTROL_V = SetFunction(2, (Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(1)))
 CONTROL_MU = SetFunction(2, (Fraction(0), Fraction(3, 10), Fraction(3, 5), Fraction(1)))
-
-
-def _cached(fn):
-    return lru_cache(maxsize=None)(fn)
 
 
 def _mean(coords):
@@ -110,7 +106,7 @@ def _criterion_4(mode):
     for seed in range(1, 7):
         n = (seed - 1) % 3 + 1
         v = signed_capacity(seed, n)
-        fn = _cached(lambda coords, v=v: choquet(v, coords))
+        fn = cache(lambda coords, v=v: choquet(v, coords))
         result = audit(fn, n, WIDE5, ["comono_modular", "sign_homog_rays", "dual_shift"])
         verdicts = {r.axiom: r.passed for r in result.reports}
         if not all(verdicts.values()):
@@ -130,7 +126,7 @@ def _criterion_5(mode):
         v = signed_capacity(seed, 2)
         if v.values == v.dual().values:
             continue
-        fn = _cached(
+        fn = cache(
             lambda coords, v=v: choquet(v, tuple(max(ZERO, c) for c in coords))
         )
         if not check("comono_modular", fn, 2, WIDE5).passed:
@@ -170,7 +166,7 @@ def _criterion_7(mode):
     for seed in range(1, 21):
         n = (seed - 1) % 4 + 1
         mu = interval_capacity(seed, n, UNIT)
-        fn = _cached(lambda coords, mu=mu: sugeno(mu, coords, interval=UNIT))
+        fn = cache(lambda coords, mu=mu: sugeno(mu, coords, interval=UNIT))
         for x in grid_points(as_grid(UNIT5), n):
             if fn(x) != sugeno_normal_form(mu, x, interval=UNIT):
                 return False, {"seed": seed, "x": [str(c) for c in x]}
@@ -192,12 +188,12 @@ def _criterion_8(mode):
     pool = []
     for seed in range(1, 4):
         v = signed_capacity(seed, 2)
-        pool.append(("choquet-%d" % seed, _cached(lambda c, v=v: choquet(v, c)), WIDE5))
+        pool.append(("choquet-%d" % seed, cache(lambda c, v=v: choquet(v, c)), WIDE5))
         mu = interval_capacity(seed, 2, UNIT)
         pool.append(
-            ("sugeno-%d" % seed, _cached(lambda c, mu=mu: sugeno(mu, c, interval=UNIT)), UNIT5)
+            ("sugeno-%d" % seed, cache(lambda c, mu=mu: sugeno(mu, c, interval=UNIT)), UNIT5)
         )
-    pool.append(("shilkret", _cached(lambda c: shilkret(CONTROL_MU, c)), UNIT5))
+    pool.append(("shilkret", cache(lambda c: shilkret(CONTROL_MU, c)), UNIT5))
     pool.append(("mean", _mean, UNIT5))
     table = {}
     for name, fn, grid in pool:
@@ -222,7 +218,7 @@ def _criterion_8(mode):
 
 def _criterion_9(mode):
     """The max-of-products control sits outside the modular class."""
-    fn = _cached(lambda c: shilkret(CONTROL_MU, c))
+    fn = cache(lambda c: shilkret(CONTROL_MU, c))
     if not check("comono_maxitive", fn, 2, UNIT5).passed:
         return False, {"lost": "comono_maxitive"}
     details = {}
@@ -244,7 +240,7 @@ def _criterion_10(mode):
         n = (seed - 1) % 3 + 1
         mu = interval_capacity(seed, n, UNIT)
         phi = monotone_transform(seed)
-        fn = _cached(lambda coords, mu=mu, phi=phi: quasi_sugeno(mu, phi, coords, interval=UNIT))
+        fn = cache(lambda coords, mu=mu, phi=phi: quasi_sugeno(mu, phi, coords, interval=UNIT))
         form = factorize_quasi_sugeno(fn, n, UNIT5)
         if isinstance(form, FitRefusal):
             return False, {"seed": seed, "refused": form.condition}
@@ -253,7 +249,7 @@ def _criterion_10(mode):
                 return False, {"seed": seed, "x": [str(c) for c in x]}
             points += 1
     refusal = factorize_quasi_sugeno(
-        _cached(lambda c: choquet(CONTROL_V, c)), 2, UNIT5
+        cache(lambda c: choquet(CONTROL_V, c)), 2, UNIT5
     )
     if not isinstance(refusal, FitRefusal) or refusal.condition != "weak_max_homog":
         return False, {"control": "additive integral was not refused"}
@@ -272,7 +268,7 @@ def _criterion_11(mode):
         n = (seed - 1) % 3 + 1
         v = signed_capacity(seed, n)
         phi = monotone_transform(seed)
-        fn = _cached(lambda coords, v=v, phi=phi: quasi_choquet(v, phi, coords))
+        fn = cache(lambda coords, v=v, phi=phi: quasi_choquet(v, phi, coords))
         fit = fit_quasi_choquet(fn, n, UNIT5, side="pos")
         if not isinstance(fit, QuasiChoquetFit):
             return False, {"seed": seed, "refused": fit.condition}

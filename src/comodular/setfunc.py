@@ -142,9 +142,6 @@ class SetFunction:
     def is_capacity(self) -> bool:
         return self.is_signed_capacity and self._monotonicity_witness() is None
 
-    def is_interval_capacity(self, interval: Interval) -> bool:
-        return validate(self, "ivalued", interval).ok
-
     def _monotonicity_witness(self) -> Optional[tuple[int, int]]:
         # Monotonicity over the whole lattice reduces to the covering pairs
         # (T minus one element, T); the first hit scanning T ascending and
@@ -190,22 +187,8 @@ def new_set_function(n: int, assignments: Iterable[tuple[SubsetLike, Scalar]]) -
 
 def validate(sf: SetFunction, role: str, interval: Optional[Interval] = None) -> Verdict:
     """Check a declared role; failures carry the violating pair or endpoint."""
-    if role == "signed":
-        if sf.values[0] != 0:
-            return Verdict(False, ((),), "v(empty) = %s, expected 0" % sf.values[0])
-        return Verdict(True)
-    if role == "capacity":
-        if sf.values[0] != 0:
-            return Verdict(False, ((),), "v(empty) = %s, expected 0" % sf.values[0])
-        pair = sf._monotonicity_witness()
-        if pair is not None:
-            s, t = pair
-            return Verdict(
-                False,
-                (elements_of_mask(s), elements_of_mask(t)),
-                "v(%s) > v(%s)" % (elements_of_mask(s), elements_of_mask(t)),
-            )
-        return Verdict(True)
+    if role not in _ROLE_ERRORS:
+        raise ComodularError("unknown role %r" % (role,))
     if role == "ivalued":
         if interval is None:
             raise ComodularError("role 'ivalued' needs an interval")
@@ -215,16 +198,13 @@ def validate(sf: SetFunction, role: str, interval: Optional[Interval] = None) ->
             return Verdict(
                 False, ("hi",), "v(X) = %s, expected %s" % (sf.values[full_mask(sf.n)], interval.hi)
             )
-        pair = sf._monotonicity_witness()
-        if pair is not None:
-            s, t = pair
-            return Verdict(
-                False,
-                (elements_of_mask(s), elements_of_mask(t)),
-                "v(%s) > v(%s)" % (elements_of_mask(s), elements_of_mask(t)),
-            )
-        return Verdict(True)
-    raise ComodularError("unknown role %r" % (role,))
+    elif sf.values[0] != 0:
+        return Verdict(False, ((),), "v(empty) = %s, expected 0" % sf.values[0])
+    pair = None if role == "signed" else sf._monotonicity_witness()
+    if pair is not None:
+        s, t = (elements_of_mask(mask) for mask in pair)
+        return Verdict(False, (s, t), "v(%s) > v(%s)" % (s, t))
+    return Verdict(True)
 
 
 _ROLE_ERRORS = {
@@ -247,15 +227,16 @@ def require_role(sf: SetFunction, role: str, interval: Optional[Interval] = None
 #  "role": "capacity", "interval": ["0", "1"]}    (interval: ivalued only)
 
 
+def table_json(values: Iterable[Fraction], mode: str = "rational") -> list[dict]:
+    """A table indexed by subset mask as {"set": elements, "value": scalar} rows."""
+    return [
+        {"set": list(elements_of_mask(mask)), "value": format_fraction(value, mode)}
+        for mask, value in enumerate(values)
+    ]
+
+
 def to_payload(sf: SetFunction, role: str = "signed", interval: Optional[Interval] = None) -> dict:
-    payload = {
-        "n": sf.n,
-        "values": [
-            {"set": list(elements_of_mask(mask)), "value": str(sf.values[mask])}
-            for mask in range(1 << sf.n)
-        ],
-        "role": role,
-    }
+    payload = {"n": sf.n, "values": table_json(sf.values), "role": role}
     if role == "ivalued":
         if interval is None:
             raise ComodularError("role 'ivalued' needs an interval")
@@ -279,20 +260,27 @@ def from_payload(payload: dict) -> tuple[SetFunction, str, Optional[Interval]]:
             raise NotIntervalCapacity("role 'ivalued' needs an interval field")
         lo, hi = payload["interval"]
         interval = Interval(as_fraction(lo), as_fraction(hi))
-    sf = new_set_function(n, ((entry["set"], entry["value"]) for entry in entries))
+    try:
+        sf = new_set_function(n, ((entry["set"], entry["value"]) for entry in entries))
+    except (KeyError, TypeError) as exc:
+        raise ComodularError("malformed capacity payload: %s" % exc) from exc
     verdict = validate(sf, role, interval)
     if not verdict.ok:
         raise _ROLE_ERRORS[role]("table violates role %r: %s" % (role, verdict.message))
     return sf, role, interval
 
 
-def load_set_function(path: str) -> tuple[SetFunction, str, Optional[Interval]]:
+def read_json(path: str):
+    """Parse a JSON file; malformed JSON raises ComodularError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ComodularError("%s: not valid JSON (%s)" % (path, exc)) from exc
-    return from_payload(payload)
+
+
+def load_set_function(path: str) -> tuple[SetFunction, str, Optional[Interval]]:
+    return from_payload(read_json(path))
 
 
 def dump_set_function(

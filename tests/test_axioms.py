@@ -288,6 +288,10 @@ class TestSkipsAndEdgeCases:
         assert not check("nondecreasing", wobble, 1, UNIT5).passed
         assert check("nondecreasing", wobble, 1, UNIT5, eps=F(1, 2)).passed
 
+    def test_negative_eps_is_rejected(self):
+        with pytest.raises(ComodularError):
+            check("nondecreasing", lambda c: c[0], 1, UNIT5, eps=-1)
+
 
 class TestImplications:
     lattice_fns = [sugeno_fn, shilkret_fn, choquet_fn, mean_fn]

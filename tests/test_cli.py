@@ -281,6 +281,14 @@ class TestFit:
         assert {"set": [1], "value": "3/10"} in doc["capacity"]
         assert ["1/4", "1/2"] in doc["transform"]["breakpoints"]
 
+    @pytest.mark.parametrize("fit", ["signed-choquet", "symmetric"])
+    def test_float_mode_renders_capacity_values_as_floats(self, fit, v_file, capsys):
+        argv = ["fit", "--fit", fit, "--fn", fit.replace("signed-", ""), "--capacity", v_file]
+        argv += ["--box", "[-1,1]", "--format", "json", "--mode", "float"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {"set": [1], "value": "0.3"} in doc["capacity"]
+
     def test_symmetric_fit_refuses_one_sided_boxes(self, v_file, capsys):
         code = main(
             [
@@ -381,3 +389,21 @@ class TestUsage:
         )
         code = main(["eval", "--integral", "shilkret", "--capacity", str(path), "--x", "[1,1]"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--fn", "mean", "--n", "0", "--box", "[0,1]", "--axioms", "modular"],
+            ["audit", "--fn", "mean", "--n", "1", "--box", "[0,1]", "--axioms", "modular",
+             "--mode", "float", "--eps", "-1"],
+            ["eval", "--integral", "choquet", "--capacity", "{no_set}", "--x", "[0]"],
+        ],
+        ids=["zero-arity", "negative-eps", "entry-without-set"],
+    )
+    def test_bad_input_is_a_one_line_error(self, argv, tmp_path, capsys):
+        no_set = tmp_path / "no_set.json"
+        no_set.write_text(json.dumps({"n": 1, "values": [{"value": "0"}], "role": "signed"}))
+        code = main([arg.format(no_set=no_set) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
