@@ -126,49 +126,96 @@ def as_grid(grid: GridLike) -> Grid:
     return Grid(axis, Interval(min(axis), max(axis)))
 
 
-_POINTS_CACHE: dict = {}
-_COMONO_CACHE: dict = {}
-
-
 def grid_points(grid: Grid, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    key = (grid.axis, n)
-    got = _POINTS_CACHE.get(key)
-    if got is None:
-        got = tuple(product(grid.axis, repeat=n))
-        _POINTS_CACHE[key] = got
-    return got
+    return tuple(product(grid.axis, repeat=n))
 
 
 def comonotonic_pairs(grid: Grid, n: int) -> tuple:
-    """All unordered comonotonic pairs of grid points, enumerated per region.
+    """Every unordered comonotonic pair of grid points once, as (x, y), x <= y."""
+    return tuple(_comono_points(grid, n))
 
-    Points sharing a sorting permutation sigma form the region grid; pairs
-    are generated inside each region and deduplicated across regions, which
-    avoids filtering the full k^(2n) product.
+
+# --- the digit lattice ---------------------------------------------------------
+#
+# A grid axis is sorted and strictly increasing, so a grid point is a digit
+# tuple d with coordinates axis[d_i]: meet and join are digit-wise min and
+# max, and digit tuples order lexicographically like the points they stand
+# for.  The identities closed on the grid run on digits and decode only the
+# one reported witness.
+
+
+def _decode(axis: tuple[Fraction, ...], digits: tuple[int, ...]) -> tuple[Fraction, ...]:
+    return tuple(axis[d] for d in digits)
+
+
+def _comono_digit_pairs(grid: Grid, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every unordered comonotonic pair of digit tuples once, as (x, y), x <= y.
+
+    The points sorted by a permutation sigma are its region, one per
+    nondecreasing stair s (point[sigma_p] = s_p).  A pair is emitted from
+    its canonical region only: the stable sort of the coordinates by
+    (x_i, y_i, i).  Inside region sigma with stairs s and t that sort is
+    sigma unless at some adjacent positions p, p + 1 both stairs tie while
+    sigma descends.
     """
-    key = (grid.axis, n)
-    got = _COMONO_CACHE.get(key)
-    if got is not None:
-        return got
-    k = len(grid.axis)
-    seen = set()
-    out = []
+    stairs = list(combinations_with_replacement(range(len(grid.axis)), n))
+    ties = [sum(1 << p for p in range(n - 1) if s[p] == s[p + 1]) for s in stairs]
     for sigma in permutations(range(n)):
+        descents = sum(1 << p for p in range(n - 1) if sigma[p] > sigma[p + 1])
         region = []
-        for stair in combinations_with_replacement(range(k), n):
-            pt = [None] * n
+        for stair, tie in zip(stairs, ties):
+            digits = [0] * n
             for pos, level in zip(sigma, stair):
-                pt[pos] = grid.axis[level]
-            region.append(tuple(pt))
-        for i, x in enumerate(region):
-            for y in region[i:]:
-                pair = (x, y) if x <= y else (y, x)
-                if pair not in seen:
-                    seen.add(pair)
-                    out.append(pair)
-    got = tuple(out)
-    _COMONO_CACHE[key] = got
-    return got
+                digits[pos] = level
+            region.append((tuple(digits), tie & descents))
+        for i, (x, x_ties) in enumerate(region):
+            for y, y_ties in region[i:]:
+                if not x_ties & y_ties:
+                    yield (x, y) if x <= y else (y, x)
+
+
+def _comono_points(grid: Grid, n: int):
+    """The comonotonic digit pairs as Fraction points, one pair at a time."""
+    point = dict(zip(product(range(len(grid.axis)), repeat=n), product(grid.axis, repeat=n)))
+    for x, y in _comono_digit_pairs(grid, n):
+        yield point[x], point[y]
+
+
+class _Table(dict):
+    """f on grid points keyed by digit tuple; fn runs once per point touched."""
+
+    def __init__(self, fn, axis):
+        super().__init__()
+        self.fn = fn
+        self.axis = axis
+
+    def __missing__(self, digits):
+        got = self[digits] = as_fraction(self.fn(_decode(self.axis, digits)))
+        return got
+
+
+def _all_digit_pairs(grid, n):
+    return combinations_with_replacement(product(range(len(grid.axis)), repeat=n), 2)
+
+
+def _digit_axis_steps(grid, n):
+    k = len(grid.axis)
+    for x in product(range(k), repeat=n):
+        for i, d in enumerate(x):
+            if d + 1 < k:
+                yield x, x[:i] + (d + 1,) + x[i + 1 :]
+
+
+def _sides_modular(t, x, y):
+    return t[x] + t[y], t[meet(x, y)] + t[join(x, y)], "eq"
+
+
+def _sides_lattice(side, pick, t, x, y):
+    return t[side(x, y)], pick(t[x], t[y]), "eq"
+
+
+def _sides_le(t, x, y):
+    return t[x], t[y], "le"
 
 
 class _Eval:
@@ -193,7 +240,9 @@ class _Eval:
 # Each axiom is an (enumerate, evaluate) pair.  enumerate yields operand
 # dicts (None counts a skipped instance); evaluate(ev, phi, grid, n, o)
 # recomputes both sides from the operands alone, so a stored witness
-# replays independently.
+# replays independently.  The pair identities closed on the grid enumerate
+# digit pairs instead and carry a digit-side twin of evaluate (see
+# _AxiomDef.sides); their evaluate is used only for replay.
 
 
 def _inbox(coords: Iterable[Fraction], box: Interval) -> bool:
@@ -206,18 +255,6 @@ def _diag(n: int, value: Fraction) -> tuple[Fraction, ...]:
 
 def _sign(x: Fraction) -> Fraction:
     return ONE if x > 0 else (-ONE if x < 0 else ZERO)
-
-
-def _enum_pairs(comono: bool):
-    def enum(grid, n):
-        if comono:
-            pairs = comonotonic_pairs(grid, n)
-        else:
-            pairs = combinations_with_replacement(grid_points(grid, n), 2)
-        for x, y in pairs:
-            yield {"x": x, "y": y}
-
-    return enum
 
 
 def _eval_modular(ev, phi, grid, n, o):
@@ -236,7 +273,7 @@ def _eval_lattice(side, pick, ev, phi, grid, n, o):
 
 
 def _enum_comono_sum(grid, n):
-    for x, y in comonotonic_pairs(grid, n):
+    for x, y in _comono_points(grid, n):
         total = tuple(a + b for a, b in zip(x, y))
         if _inbox(total, grid.box):
             yield {"x": x, "y": y}
@@ -410,17 +447,6 @@ def _eval_weak(side, pick, ev, phi, grid, n, o):
     return ev.at(side(_diag(n, x), corner)), pick(ev.at(_diag(n, x)), ev.at(corner)), "eq"
 
 
-def _enum_axis_steps(grid, n):
-    axis = grid.axis
-    index = {a: i for i, a in enumerate(axis)}
-    for x in grid_points(grid, n):
-        for i in range(n):
-            j = index[x[i]]
-            if j + 1 < len(axis):
-                y = x[:i] + (axis[j + 1],) + x[i + 1 :]
-                yield {"x": x, "y": y}
-
-
 def _eval_le(ev, phi, grid, n, o):
     return ev.at(o["x"]), ev.at(o["y"]), "le"
 
@@ -471,6 +497,10 @@ class _AxiomDef:
     evaluate: Callable
     needs_phi: bool = False
     operand_order: tuple[str, ...] = ()
+    # Set for the identities closed on the grid: enumerate then yields
+    # (x, y) digit-tuple pairs and sides(table, x, y) gives both sides;
+    # evaluate stays the Fraction route that replay_witness uses.
+    sides: Optional[Callable] = None
 
 
 def _nonneg(a):
@@ -484,11 +514,19 @@ def _nonpos(a):
 _MAXITIVE = partial(_eval_lattice, join, max)
 _MINITIVE = partial(_eval_lattice, meet, min)
 
+
+def _pair_axiom(id, enumerate, evaluate, sides):
+    return _AxiomDef(id, enumerate, evaluate, operand_order=("x", "y"), sides=sides)
+
+
+_SIDES_MAXITIVE = partial(_sides_lattice, join, max)
+_SIDES_MINITIVE = partial(_sides_lattice, meet, min)
+
 AXIOMS: dict[str, _AxiomDef] = {
     d.id: d
     for d in (
-        _AxiomDef("modular", _enum_pairs(False), _eval_modular, operand_order=("x", "y")),
-        _AxiomDef("comono_modular", _enum_pairs(True), _eval_modular, operand_order=("x", "y")),
+        _pair_axiom("modular", _all_digit_pairs, _eval_modular, _sides_modular),
+        _pair_axiom("comono_modular", _comono_digit_pairs, _eval_modular, _sides_modular),
         _AxiomDef(
             "comono_additive", _enum_comono_sum, _eval_comono_additive, operand_order=("x", "y")
         ),
@@ -526,10 +564,10 @@ AXIOMS: dict[str, _AxiomDef] = {
             partial(_eval_invar, join, zero_high),
             operand_order=("x", "c"),
         ),
-        _AxiomDef("maxitive", _enum_pairs(False), _MAXITIVE, operand_order=("x", "y")),
-        _AxiomDef("minitive", _enum_pairs(False), _MINITIVE, operand_order=("x", "y")),
-        _AxiomDef("comono_maxitive", _enum_pairs(True), _MAXITIVE, operand_order=("x", "y")),
-        _AxiomDef("comono_minitive", _enum_pairs(True), _MINITIVE, operand_order=("x", "y")),
+        _pair_axiom("maxitive", _all_digit_pairs, _MAXITIVE, _SIDES_MAXITIVE),
+        _pair_axiom("minitive", _all_digit_pairs, _MINITIVE, _SIDES_MINITIVE),
+        _pair_axiom("comono_maxitive", _comono_digit_pairs, _MAXITIVE, _SIDES_MAXITIVE),
+        _pair_axiom("comono_minitive", _comono_digit_pairs, _MINITIVE, _SIDES_MINITIVE),
         _AxiomDef(
             "pos_homog_rays", _enum_scaled_rays, _eval_pos_homog, operand_order=("c", "x", "subset")
         ),
@@ -580,7 +618,7 @@ AXIOMS: dict[str, _AxiomDef] = {
             partial(_eval_weak, meet, min),
             operand_order=("x", "subset"),
         ),
-        _AxiomDef("nondecreasing", _enum_axis_steps, _eval_le, operand_order=("x", "y")),
+        _pair_axiom("nondecreasing", _digit_axis_steps, _eval_le, _sides_le),
         _AxiomDef("odd", _enum_negatable, _eval_odd, operand_order=("x",)),
         _AxiomDef("idempotent", _enum_diagonal, _eval_idempotent, operand_order=("c",)),
         _AxiomDef("plus_split", _enum_split, _eval_split, operand_order=("x",)),
@@ -651,9 +689,52 @@ def _witness_key(axiom: _AxiomDef, operands: dict) -> tuple:
 
 
 def _holds(lhs: Fraction, rhs: Fraction, relation: str, eps: Fraction) -> bool:
+    # At eps = 0 the plain comparison is the same test without the Fraction
+    # arithmetic, which would dominate a digit scan.
     if relation == "le":
-        return lhs <= rhs + eps
-    return abs(lhs - rhs) <= eps
+        return lhs <= rhs + eps if eps else lhs <= rhs
+    return abs(lhs - rhs) <= eps if eps else lhs == rhs
+
+
+def _scan_operands(spec: _AxiomDef, fn: Callable, n: int, g: Grid, phi, tol: Fraction):
+    """(tested, skipped, smallest violation) over operand dicts."""
+    ev = _Eval(fn)
+    tested = skipped = 0
+    best_key = None
+    best = None
+    for operands in spec.enumerate(g, n):
+        if operands is None:
+            skipped += 1
+            continue
+        lhs, rhs, relation = spec.evaluate(ev, phi, g, n, operands)
+        tested += 1
+        if not _holds(lhs, rhs, relation, tol):
+            key = _witness_key(spec, operands)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = {"operands": operands, "lhs": lhs, "rhs": rhs, "relation": relation}
+    return tested, skipped, best
+
+
+def _scan_digits(spec: _AxiomDef, fn: Callable, n: int, g: Grid, tol: Fraction):
+    """(tested, 0, smallest violation) over digit pairs; only the witness
+    is decoded to Fraction operands."""
+    table = _Table(fn, g.axis)
+    sides = spec.sides
+    tested = 0
+    best_pair = None
+    best = None
+    for x, y in spec.enumerate(g, n):
+        lhs, rhs, relation = sides(table, x, y)
+        tested += 1
+        if not _holds(lhs, rhs, relation, tol) and (best_pair is None or (x, y) < best_pair):
+            best_pair = (x, y)
+            best = (lhs, rhs, relation)
+    if best is None:
+        return tested, 0, None
+    operands = {"x": _decode(g.axis, best_pair[0]), "y": _decode(g.axis, best_pair[1])}
+    lhs, rhs, relation = best
+    return tested, 0, {"operands": operands, "lhs": lhs, "rhs": rhs, "relation": relation}
 
 
 def check(
@@ -679,21 +760,10 @@ def check(
     tol = as_fraction(eps)
     if tol < 0:
         raise ComodularError("eps must be >= 0, got %s" % tol)
-    ev = _Eval(fn)
-    tested = skipped = 0
-    best_key = None
-    best = None
-    for operands in spec.enumerate(g, n):
-        if operands is None:
-            skipped += 1
-            continue
-        lhs, rhs, relation = spec.evaluate(ev, phi, g, n, operands)
-        tested += 1
-        if not _holds(lhs, rhs, relation, tol):
-            key = _witness_key(spec, operands)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = {"operands": operands, "lhs": lhs, "rhs": rhs, "relation": relation}
+    if spec.sides is None:
+        tested, skipped, best = _scan_operands(spec, fn, n, g, phi, tol)
+    else:
+        tested, skipped, best = _scan_digits(spec, fn, n, g, tol)
     if tested == 0:
         raise EmptyApplicableSet(
             "axiom %s: every candidate instance was skipped on this grid" % axiom

@@ -140,11 +140,11 @@ def is_comonotonic(x: PointLike, y: PointLike) -> bool:
 
 
 def meet(x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(min(a, b) for a, b in zip(x, y))
+    return tuple(map(min, x, y))
 
 
 def join(x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(max(a, b) for a, b in zip(x, y))
+    return tuple(map(max, x, y))
 
 
 def ray(n: int, mask: int, on: Fraction, off: Fraction = ZERO) -> tuple[Fraction, ...]:

@@ -211,7 +211,8 @@ def _criterion_8(mode):
     if report.passed:
         return False, {"mean": "unexpectedly comono_maxitive"}
     witness = report.to_json(mode)["witness"]
-    if witness["operands"] != {"x": ["0", "1"], "y": ["1/2", "1/2"]}:
+    half = Fraction(1, 2)
+    if report.witness["operands"] != {"x": (ZERO, Fraction(1)), "y": (half, half)}:
         return False, {"mean": "witness drifted", "witness": witness}
     return True, {"functions": sorted(table), "mean_witness": witness}
 

@@ -258,7 +258,10 @@ def from_payload(payload: dict) -> tuple[SetFunction, str, Optional[Interval]]:
     if role == "ivalued":
         if "interval" not in payload:
             raise NotIntervalCapacity("role 'ivalued' needs an interval field")
-        lo, hi = payload["interval"]
+        try:
+            lo, hi = payload["interval"]
+        except (TypeError, ValueError) as exc:
+            raise ComodularError("malformed capacity payload: interval: %s" % exc) from exc
         interval = Interval(as_fraction(lo), as_fraction(hi))
     try:
         sf = new_set_function(n, ((entry["set"], entry["value"]) for entry in entries))

@@ -106,8 +106,10 @@ class TestGrids:
         assert len(grid_points(g, 2)) == 9
 
     def test_comonotonic_pairs_match_brute_force(self):
-        g = as_grid(GridSpec(UNIT, points_per_axis=3))
-        for n in (1, 2, 3):
+        unit = as_grid(GridSpec(UNIT, points_per_axis=3))
+        asymmetric = as_grid(["-1/2", "0", "2"])
+        cases = [(unit, 1), (unit, 2), (unit, 3), (asymmetric, 2), (asymmetric, 4)]
+        for g, n in cases:
             pts = grid_points(g, n)
             brute = set()
             for x in pts:

@@ -397,13 +397,31 @@ class TestUsage:
             ["audit", "--fn", "mean", "--n", "1", "--box", "[0,1]", "--axioms", "modular",
              "--mode", "float", "--eps", "-1"],
             ["eval", "--integral", "choquet", "--capacity", "{no_set}", "--x", "[0]"],
+            ["eval", "--integral", "sugeno", "--capacity", "{interval_short}", "--x", "[1]"],
+            ["eval", "--integral", "sugeno", "--capacity", "{interval_scalar}", "--x", "[1]"],
+            ["eval", "--integral", "sugeno", "--capacity", "{interval_long}", "--x", "[1]"],
         ],
-        ids=["zero-arity", "negative-eps", "entry-without-set"],
+        ids=[
+            "zero-arity",
+            "negative-eps",
+            "entry-without-set",
+            "interval-one-entry",
+            "interval-not-a-list",
+            "interval-three-entries",
+        ],
     )
     def test_bad_input_is_a_one_line_error(self, argv, tmp_path, capsys):
-        no_set = tmp_path / "no_set.json"
-        no_set.write_text(json.dumps({"n": 1, "values": [{"value": "0"}], "role": "signed"}))
-        code = main([arg.format(no_set=no_set) for arg in argv])
+        files = {"no_set": {"n": 1, "values": [{"value": "0"}], "role": "signed"}}
+        ivalued = {"n": 1, "values": [{"set": [], "value": "0"}, {"set": [1], "value": "1"}]}
+        for name, interval in (("short", ["0"]), ("scalar", 5), ("long", ["0", "1", "2"])):
+            files["interval_" + name] = dict(ivalued, role="ivalued", interval=interval)
+        paths = {}
+        for name, payload in files.items():
+            paths[name] = tmp_path / (name + ".json")
+            paths[name].write_text(json.dumps(payload))
+        code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        if "{" in "".join(argv):
+            assert "malformed capacity payload" in err
