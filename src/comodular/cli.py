@@ -116,9 +116,10 @@ def _black_box_args(args) -> dict:
 def _cmd_eval(args, mode: str, eps: Fraction) -> int:
     x = _parse_tuple(args.x)
     parts = _black_box_args(args)
-    fn, _ = black_box(
-        args.integral, n=len(x), checked=args.checked, **parts
-    )
+    # Only "mean" takes its arity from the point; a capacity fixes it for the
+    # other kinds, and a point of the wrong length fails at evaluation.
+    n = len(x) if args.integral == "mean" else None
+    fn, _ = black_box(args.integral, n=n, checked=args.checked, **parts)
     value = fn(x)
     if args.format == "json":
         doc = {
@@ -139,6 +140,8 @@ def _cmd_audit(args, mode: str, eps: Fraction) -> int:
     fn, n = black_box(args.fn, n=args.n, **parts)
     grid = GridSpec(_parse_interval(args.box), points_per_axis=args.k)
     axioms = [piece.strip() for piece in args.axioms.split(",") if piece.strip()]
+    if not axioms:
+        raise ComodularError("no axioms given")
     result = audit(fn, n, grid, axioms, phi=parts["phi"], eps=eps)
     ok = all(report.passed for report in result.reports)
     if args.format == "json":

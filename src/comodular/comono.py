@@ -86,10 +86,22 @@ def _pair(x: PointLike, y: PointLike) -> tuple[Point, Point]:
 
 @dataclass(frozen=True)
 class SortedView:
-    """A sorting permutation (1-based labels) plus the negative/positive split."""
+    """A sorting permutation (1-based labels) plus the negative/positive split.
+
+    The n + 1 upper chain masks are built once, in O(n), when the view is
+    made, so each chain mask below is an O(1) lookup.
+    """
 
     perm: tuple[int, ...]
     split: int
+    _upper: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # _upper[i - 1] is the mask of {sigma(i), ..., sigma(n)}, i = 1..n+1.
+        upper = [0]
+        for label in reversed(self.perm):
+            upper.append(upper[-1] | 1 << (label - 1))
+        object.__setattr__(self, "_upper", tuple(reversed(upper)))
 
     @property
     def n(self) -> int:
@@ -99,19 +111,13 @@ class SortedView:
         """Bitmask of {sigma(i), ..., sigma(n)}; empty when i = n + 1."""
         if not 1 <= i <= self.n + 1:
             raise ComodularError("upper chain index %d outside 1..%d" % (i, self.n + 1))
-        mask = 0
-        for j in range(i, self.n + 1):
-            mask |= 1 << (self.perm[j - 1] - 1)
-        return mask
+        return self._upper[i - 1]
 
     def lower_mask(self, i: int) -> int:
         """Bitmask of {sigma(1), ..., sigma(i)}; empty when i = 0."""
         if not 0 <= i <= self.n:
             raise ComodularError("lower chain index %d outside 0..%d" % (i, self.n))
-        mask = 0
-        for j in range(1, i + 1):
-            mask |= 1 << (self.perm[j - 1] - 1)
-        return mask
+        return self._upper[0] ^ self._upper[i]
 
 
 def sorted_view(x: PointLike) -> SortedView:

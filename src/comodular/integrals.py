@@ -23,7 +23,6 @@ The quasi- variants apply a declared scalar transform componentwise first.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .comono import Point, PointLike, as_point, sorted_view, split_parts
@@ -39,8 +38,6 @@ from .errors import (
 from .setfunc import Interval, SetFunction, full_mask, require_role
 from .transforms import NONDECREASING, ODD, VANISHES_AT_0, TransformFn
 
-_require_role = lru_cache(maxsize=256)(require_role)
-
 
 def _coords_for(v: SetFunction, x: PointLike) -> tuple[Fraction, ...]:
     p = as_point(x)
@@ -51,7 +48,7 @@ def _coords_for(v: SetFunction, x: PointLike) -> tuple[Fraction, ...]:
 
 def choquet(v: SetFunction, x: PointLike) -> Fraction:
     """Integral of x against a signed capacity, telescoping sorted form."""
-    _require_role(v, "signed")
+    require_role(v, "signed")
     coords = _coords_for(v, x)
     sv = sorted_view(coords)
     total = Fraction(0)
@@ -86,11 +83,23 @@ def _choquet_with_order(v: SetFunction, coords: Sequence[Fraction], perm: Sequen
 
 
 def choquet_via_dual(v: SetFunction, x: PointLike) -> Fraction:
-    """Same value as choquet, computed through the dual on the negative part."""
-    _require_role(v, "signed")
+    """Same value as choquet, computed through the dual on the negative part.
+
+    The dual S -> v(X) - v(X minus S) is read on the n + 1 chain masks of
+    the negative part only; no dual table is built.
+    """
+    require_role(v, "signed")
     coords = _coords_for(v, x)
     pos, neg = split_parts(coords)
-    return choquet(v, pos) - choquet(v.dual(), neg)
+    sv = sorted_view(neg)
+    top = full_mask(v.n)
+    vx = v.values[top]
+    # dual[i - 1] is the dual's value on the upper chain U(i), i = 1..n+1
+    dual = [vx - v.values[top ^ sv.upper_mask(i)] for i in range(1, v.n + 2)]
+    total = Fraction(0)
+    for i in range(1, v.n + 1):
+        total += neg.coords[sv.perm[i - 1] - 1] * (dual[i - 1] - dual[i])
+    return choquet(v, pos) - total
 
 
 def _symmetric_regions(v: SetFunction, coords: tuple[Fraction, ...]) -> Fraction:
@@ -110,7 +119,7 @@ def _symmetric_regions(v: SetFunction, coords: tuple[Fraction, ...]) -> Fraction
 
 def symmetric_choquet(v: SetFunction, x: PointLike, checked: bool = False) -> Fraction:
     """Odd extension of choquet: positive part minus integral of negative part."""
-    _require_role(v, "signed")
+    require_role(v, "signed")
     coords = _coords_for(v, x)
     pos, neg = split_parts(coords)
     value = choquet(v, pos) - choquet(v, neg)
@@ -141,7 +150,7 @@ def _sugeno_setup(
     mu: SetFunction, x: PointLike, interval: Optional[Interval]
 ) -> tuple[tuple[Fraction, ...], Interval]:
     scale = _resolve_interval(mu, x, interval)
-    _require_role(mu, "ivalued", scale)
+    require_role(mu, "ivalued", scale)
     coords = _coords_for(mu, x)
     for i, c in enumerate(coords, start=1):
         if not scale.contains(c):
@@ -228,7 +237,7 @@ def quasi_sugeno(
 
 def shilkret(mu: SetFunction, x: PointLike) -> Fraction:
     """Max of coordinate-times-capacity over the sorted chain, x >= 0 only."""
-    _require_role(mu, "capacity")
+    require_role(mu, "capacity")
     coords = _coords_for(mu, x)
     for i, c in enumerate(coords, start=1):
         if c < 0:
@@ -265,7 +274,7 @@ def black_box(
     """Package an integral as a plain coords -> value function for auditing.
 
     Returns (function, arity).  kind "mean" needs n; every other kind reads
-    the arity off the capacity.
+    the arity off the capacity, and an n given beside it must agree.
     """
     if n is not None and n < 1:
         raise ComodularError("n must be at least 1, got %d" % n)
@@ -276,6 +285,8 @@ def black_box(
     if capacity is None:
         raise ComodularError("kind %r needs a capacity" % (kind,))
     arity = capacity.n
+    if n is not None and n != arity:
+        raise DimensionMismatch("capacity has n=%d, but n=%d was given" % (arity, n))
     if kind == "choquet":
         return (lambda coords: choquet(capacity, coords)), arity
     if kind == "symmetric":

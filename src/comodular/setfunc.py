@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -140,12 +141,16 @@ class SetFunction:
 
     @property
     def is_capacity(self) -> bool:
-        return self.is_signed_capacity and self._monotonicity_witness() is None
+        return self.is_signed_capacity and self._monotonicity_witness is None
 
+    @cached_property
     def _monotonicity_witness(self) -> Optional[tuple[int, int]]:
         # Monotonicity over the whole lattice reduces to the covering pairs
         # (T minus one element, T); the first hit scanning T ascending and
         # the remaining subset ascending by mask is the canonical witness.
+        # The table is immutable, so this O(n 2^n) scan runs once per
+        # instance; cached_property stores it in the instance __dict__, out
+        # of the dataclass fields that __eq__, __hash__ and repr read.
         for t in range(1, 1 << self.n):
             vt = self.values[t]
             for i in reversed(range(self.n)):
@@ -200,7 +205,7 @@ def validate(sf: SetFunction, role: str, interval: Optional[Interval] = None) ->
             )
     elif sf.values[0] != 0:
         return Verdict(False, ((),), "v(empty) = %s, expected 0" % sf.values[0])
-    pair = None if role == "signed" else sf._monotonicity_witness()
+    pair = None if role == "signed" else sf._monotonicity_witness
     if pair is not None:
         s, t = (elements_of_mask(mask) for mask in pair)
         return Verdict(False, (s, t), "v(%s) > v(%s)" % (s, t))
@@ -252,6 +257,8 @@ def from_payload(payload: dict) -> tuple[SetFunction, str, Optional[Interval]]:
         role = payload.get("role", "signed")
     except (KeyError, TypeError) as exc:
         raise ComodularError("malformed capacity payload: %s" % exc) from exc
+    if not isinstance(role, str):
+        raise BadRole("malformed capacity payload: role must be a string, got %r" % (role,))
     if role not in _ROLE_ERRORS:
         raise BadRole("unknown role %r" % (role,))
     interval = None

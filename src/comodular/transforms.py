@@ -48,7 +48,7 @@ class TransformFn:
         props = frozenset(self.properties)
         unknown = props - _KNOWN_PROPERTIES
         if unknown:
-            raise ComodularError("unknown transform properties %s" % sorted(unknown))
+            raise ComodularError("unknown transform properties %s" % sorted(unknown, key=str))
         object.__setattr__(self, "properties", props)
         if self.kind == "identity":
             object.__setattr__(self, "properties", _KNOWN_PROPERTIES)
@@ -149,14 +149,22 @@ def transform_to_payload(phi: TransformFn) -> dict:
 
 
 def transform_from_payload(payload: dict) -> TransformFn:
-    if "breakpoints" in payload:
-        return piecewise_linear(
-            [(x, y) for x, y in payload["breakpoints"]],
-            payload.get("properties", ()),
+    if not isinstance(payload, dict):
+        raise ComodularError(
+            "malformed transform payload: expected an object, got %s" % type(payload).__name__
         )
+    if "breakpoints" in payload:
+        try:
+            points = [(x, y) for x, y in payload["breakpoints"]]
+            properties = frozenset(payload.get("properties", ()))
+        except (TypeError, ValueError) as exc:
+            raise ComodularError("malformed transform payload: %s" % exc) from exc
+        return piecewise_linear(points, properties)
     name = payload.get("name")
     if name == "identity":
         return identity()
-    if name is not None:
+    if isinstance(name, str):
         return named_transform(name)
+    if name is not None:
+        raise ComodularError("malformed transform payload: name must be a string, got %r" % (name,))
     raise ComodularError("transform payload needs 'breakpoints' or 'name'")

@@ -391,15 +391,42 @@ class TestUsage:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["audit", "--fn", "mean", "--n", "0", "--box", "[0,1]", "--axioms", "modular"],
-            ["audit", "--fn", "mean", "--n", "1", "--box", "[0,1]", "--axioms", "modular",
-             "--mode", "float", "--eps", "-1"],
-            ["eval", "--integral", "choquet", "--capacity", "{no_set}", "--x", "[0]"],
-            ["eval", "--integral", "sugeno", "--capacity", "{interval_short}", "--x", "[1]"],
-            ["eval", "--integral", "sugeno", "--capacity", "{interval_scalar}", "--x", "[1]"],
-            ["eval", "--integral", "sugeno", "--capacity", "{interval_long}", "--x", "[1]"],
+            (["audit", "--fn", "mean", "--n", "0", "--box", "[0,1]", "--axioms", "modular"],
+             "n must be at least 1"),
+            (["audit", "--fn", "mean", "--n", "1", "--box", "[0,1]", "--axioms", "modular",
+              "--mode", "float", "--eps", "-1"], "--eps must be >= 0"),
+            (["eval", "--integral", "choquet", "--capacity", "{no_set}", "--x", "[0]"],
+             "malformed capacity payload"),
+            (["eval", "--integral", "sugeno", "--capacity", "{interval_short}", "--x", "[1]"],
+             "malformed capacity payload"),
+            (["eval", "--integral", "sugeno", "--capacity", "{interval_scalar}", "--x", "[1]"],
+             "malformed capacity payload"),
+            (["eval", "--integral", "sugeno", "--capacity", "{interval_long}", "--x", "[1]"],
+             "malformed capacity payload"),
+            (["eval", "--integral", "choquet", "--capacity", "{role_list}", "--x", "[1]"],
+             "malformed capacity payload"),
+            (["eval", "--integral", "quasi-choquet", "--capacity", "{signed}",
+              "--phi", "{phi_list}", "--x", "[1]"], "malformed transform payload"),
+            (["eval", "--integral", "quasi-choquet", "--capacity", "{signed}",
+              "--phi", "{phi_short_breakpoint}", "--x", "[1]"], "malformed transform payload"),
+            (["eval", "--integral", "quasi-choquet", "--capacity", "{signed}",
+              "--phi", "{phi_scalar_breakpoints}", "--x", "[1]"], "malformed transform payload"),
+            (["eval", "--integral", "quasi-choquet", "--capacity", "{signed}",
+              "--phi", "{phi_list_properties}", "--x", "[1]"], "malformed transform payload"),
+            (["eval", "--integral", "quasi-choquet", "--capacity", "{signed}",
+              "--phi", "{phi_mixed_properties}", "--x", "[1]"], "unknown transform properties"),
+            (["eval", "--integral", "quasi-choquet", "--capacity", "{signed}",
+              "--phi", "{phi_list_name}", "--x", "[1]"], "malformed transform payload"),
+            (["audit", "--fn", "choquet", "--capacity", "{signed}", "--n", "3",
+              "--box", "[0,1]", "--axioms", "modular"], "capacity has n=1, but n=3 was given"),
+            (["fit", "--fit", "signed-choquet", "--fn", "choquet", "--capacity", "{signed}",
+              "--n", "2", "--box", "[0,1]"], "capacity has n=1, but n=2 was given"),
+            (["audit", "--fn", "mean", "--n", "1", "--box", "[0,1]", "--axioms", ""],
+             "no axioms given"),
+            (["audit", "--fn", "mean", "--n", "1", "--box", "[0,1]", "--axioms", " , "],
+             "no axioms given"),
         ],
         ids=[
             "zero-arity",
@@ -408,13 +435,34 @@ class TestUsage:
             "interval-one-entry",
             "interval-not-a-list",
             "interval-three-entries",
+            "role-not-a-string",
+            "transform-not-an-object",
+            "breakpoint-not-a-pair",
+            "breakpoints-not-a-list",
+            "properties-not-strings",
+            "properties-of-mixed-types",
+            "transform-name-not-a-string",
+            "audit-n-contradicts-capacity",
+            "fit-n-contradicts-capacity",
+            "audit-empty-axioms",
+            "audit-blank-axioms",
         ],
     )
-    def test_bad_input_is_a_one_line_error(self, argv, tmp_path, capsys):
-        files = {"no_set": {"n": 1, "values": [{"value": "0"}], "role": "signed"}}
-        ivalued = {"n": 1, "values": [{"set": [], "value": "0"}, {"set": [1], "value": "1"}]}
+    def test_bad_input_is_a_one_line_error(self, argv, message, tmp_path, capsys):
+        signed = {"n": 1, "values": [{"set": [], "value": "0"}, {"set": [1], "value": "1"}]}
+        files = {
+            "no_set": {"n": 1, "values": [{"value": "0"}], "role": "signed"},
+            "signed": signed,
+            "role_list": dict(signed, role=["x"]),
+            "phi_list": [["0", "0"], ["1", "1"]],
+            "phi_short_breakpoint": {"breakpoints": [[0]]},
+            "phi_scalar_breakpoints": {"breakpoints": 5},
+            "phi_list_properties": {"breakpoints": [[0, 0], [1, 1]], "properties": [["odd"]]},
+            "phi_mixed_properties": {"breakpoints": [[0, 0], [1, 1]], "properties": [1, "x"]},
+            "phi_list_name": {"name": ["cube"]},
+        }
         for name, interval in (("short", ["0"]), ("scalar", 5), ("long", ["0", "1", "2"])):
-            files["interval_" + name] = dict(ivalued, role="ivalued", interval=interval)
+            files["interval_" + name] = dict(signed, role="ivalued", interval=interval)
         paths = {}
         for name, payload in files.items():
             paths[name] = tmp_path / (name + ".json")
@@ -423,5 +471,9 @@ class TestUsage:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
-        if "{" in "".join(argv):
-            assert "malformed capacity payload" in err
+        assert message in err
+
+    def test_eval_keeps_the_point_length_message(self, v_file, capsys):
+        code = main(["eval", "--integral", "choquet", "--capacity", v_file, "--x", "[1]"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: set function has n=2, point has n=1\n"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from comodular.comono import (
     Point,
+    SortedView,
     as_point,
     bracket,
     horizontal_split,
@@ -19,6 +20,7 @@ from comodular.comono import (
 )
 from comodular.errors import (
     BadThresholdSign,
+    ComodularError,
     DimensionMismatch,
     NegativeRadius,
     OutOfBox,
@@ -81,6 +83,28 @@ class TestSortedView:
 
     def test_tie_break_is_stable(self):
         assert sorted_view((1, 0, 1, 0)).perm == (2, 4, 1, 3)
+
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=16))
+    def test_chain_masks_match_their_definition(self, coords):
+        sv = sorted_view(coords)
+        n = len(coords)
+        for i in range(1, n + 2):
+            assert sv.upper_mask(i) == sum(1 << (sv.perm[j - 1] - 1) for j in range(i, n + 1))
+        for i in range(n + 1):
+            assert sv.lower_mask(i) == sum(1 << (sv.perm[j - 1] - 1) for j in range(1, i + 1))
+        for bad in (0, n + 2):
+            with pytest.raises(ComodularError, match="upper chain index %d outside 1..%d$" % (bad, n + 1)):
+                sv.upper_mask(bad)
+        for bad in (-1, n + 1):
+            with pytest.raises(ComodularError, match="lower chain index %d outside 0..%d$" % (bad, n)):
+                sv.lower_mask(bad)
+
+    def test_constructed_view(self):
+        sv = SortedView((3, 1, 2), 1)
+        assert sv == SortedView((3, 1, 2), 1) and sv != SortedView((3, 1, 2), 0)
+        assert repr(sv) == "SortedView(perm=(3, 1, 2), split=1)"
+        assert [sv.upper_mask(i) for i in range(1, 5)] == [0b111, 0b011, 0b010, 0]
+        assert [sv.lower_mask(i) for i in range(4)] == [0, 0b100, 0b101, 0b111]
 
 
 class TestComonotonic:

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -323,3 +325,140 @@ class TestBlackBox:
         assert fn((F(1, 5), F(4, 5))) == F(3, 5)
         fn, _ = black_box("shilkret", MU)
         assert fn((F(1, 5), F(4, 5))) == F(12, 25)
+
+    def test_n_contradicting_the_capacity_is_refused(self):
+        with pytest.raises(DimensionMismatch, match="capacity has n=2, but n=3 was given"):
+            black_box("choquet", V, n=3)
+        fn, n = black_box("choquet", V, n=2)
+        assert n == 2 and fn((F(1, 5), F(7, 10))) == F(9, 20)
+
+
+# --- the sorted chain at every size --------------------------------------------
+#
+# Seeded tables up to n = 16, far beyond what the Hypothesis strategies above
+# reach, so the chain masks and the dual route are exercised where a mistake
+# in building them once per view would show.
+
+CHAIN_NS = (1, 2, 3, 5, 8, 12, 16)
+
+
+@lru_cache(maxsize=None)
+def seeded_tables(n):
+    """(signed, capacity, ivalued on [0, 1]) tables for n, from a fixed seed."""
+    rng = random.Random("chain-tables:%d" % n)
+    signed = [F(0)] + [F(rng.randint(-16, 16), 8) for _ in range(1, 1 << n)]
+    # v(S) = sum of weights on S + max of bumps on S + a step in |S|, built
+    # from S minus its lowest element: monotone and not additive.
+    weight = [F(rng.randint(0, 8), 8) for _ in range(n)]
+    bump = [F(rng.randint(0, 8), 8) for _ in range(n)]
+    step = [F(0)]
+    for _ in range(n):
+        step.append(step[-1] + F(rng.randint(0, 4), 8))
+    total, peak, size = [F(0)] * (1 << n), [F(0)] * (1 << n), [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        total[mask] = total[mask ^ low] + weight[i]
+        peak[mask] = max(peak[mask ^ low], bump[i])
+        size[mask] = size[mask ^ low] + 1
+    mono = [t + p + step[k] for t, p, k in zip(total, peak, size)]
+    top = mono[-1] if mono[-1] else F(1)
+    return (
+        SetFunction(n, signed),
+        SetFunction(n, mono),
+        SetFunction(n, [m / top for m in mono[:-1]] + [F(1)]),
+    )
+
+
+def tied_points(n, lo, count=4):
+    """Seeded points on a coarse grid, most with tied coordinates."""
+    rng = random.Random("chain-points:%d:%d" % (n, lo))
+    out = []
+    for k in range(count):
+        coords = [F(rng.randint(lo * 4, 4), 4) for _ in range(n)]
+        if n > 1 and k % 2 == 0:
+            a, b = rng.sample(range(n), 2)
+            coords[b] = coords[a]
+        out.append(tuple(coords))
+    return out
+
+
+def chain_reference(v, coords):
+    """Choquet in level form, sum_i (x_(i) - x_(i-1)) v(U(i)) with x_(0) = 0,
+    where U(i) holds the indices from position i of the stable sort on; it
+    is built here from index lists, not from a SortedView."""
+    order = sorted(range(len(coords)), key=lambda i: (coords[i], i))
+    total, below = F(0), F(0)
+    for pos, i in enumerate(order):
+        upper = sum(1 << j for j in order[pos:])
+        total += (coords[i] - below) * v.values[upper]
+        below = coords[i]
+    return total
+
+
+def shilkret_reference(mu, coords):
+    order = sorted(range(len(coords)), key=lambda i: (coords[i], i))
+    return max(
+        (coords[i] * mu.values[sum(1 << j for j in order[pos:])] for pos, i in enumerate(order)),
+        default=F(0),
+    )
+
+
+@pytest.mark.parametrize("n", CHAIN_NS)
+class TestSortedChainAtEverySize:
+    def test_choquet_routes_agree_on_nonnegative_points(self, n):
+        for v in seeded_tables(n):
+            for x in tied_points(n, lo=0):
+                value = choquet(v, x)
+                assert value == chain_reference(v, x)
+                assert choquet_via_dual(v, x) == value
+                assert symmetric_choquet(v, x, checked=True) == value
+
+    def test_signed_points(self, n):
+        v = seeded_tables(n)[0]
+        for x in tied_points(n, lo=-1):
+            assert choquet(v, x) == chain_reference(v, x)
+            assert choquet_via_dual(v, x) == choquet(v, x)
+            pos, neg = split_parts(x)
+            expected = chain_reference(v, pos.coords) - chain_reference(v, neg.coords)
+            assert symmetric_choquet(v, x, checked=True) == expected
+
+    def test_sugeno_forms_and_shilkret(self, n):
+        _, capacity, ivalued = seeded_tables(n)
+        for x in tied_points(n, lo=0):
+            if n <= 12:
+                assert sugeno(ivalued, x, UNIT) == sugeno_normal_form(ivalued, x, UNIT)
+            assert shilkret(capacity, x) == shilkret_reference(capacity, x)
+
+
+class TestCostPerCall:
+    def test_failing_role_check_repeats_its_error(self):
+        nonmono = SetFunction(3, (F(0), F(1, 2), F(1, 4), F(1), F(1), F(1), F(1), F(0)))
+        messages = []
+        for _ in range(3):
+            with pytest.raises(NotCapacity) as exc:
+                shilkret(nonmono, (1, 1, 1))
+            messages.append(str(exc.value))
+        assert messages == ["v((1, 2)) > v((1, 2, 3))"] * 3
+
+    def test_no_table_hashed_built_or_scanned_after_the_first_call(self, monkeypatch):
+        signed, capacity, ivalued = seeded_tables(16)
+        x = tied_points(16, lo=-1, count=1)[0]
+        y = tied_points(16, lo=0, count=1)[0]
+        calls = (
+            lambda: choquet(signed, x),
+            lambda: choquet_via_dual(signed, x),
+            lambda: symmetric_choquet(signed, x),
+            lambda: sugeno(ivalued, y, UNIT),
+            lambda: shilkret(capacity, y),
+        )
+        first = [call() for call in calls]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an integral call did O(2^n) work on the table")
+
+        monkeypatch.setattr(SetFunction, "__hash__", refuse)
+        monkeypatch.setattr(SetFunction, "__init__", refuse)
+        # the monotonicity scan ran on the first calls and is not run again
+        monkeypatch.setattr(SetFunction.__dict__["_monotonicity_witness"], "func", refuse)
+        assert [call() for call in calls] == first

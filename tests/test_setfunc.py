@@ -92,6 +92,13 @@ class TestValidate:
         verdict = validate(sf, "signed")
         assert not verdict.ok
 
+    def test_verdict_is_kept_out_of_eq_hash_and_repr(self):
+        checked = SetFunction(2, table(0, F(1, 2), F(1, 4), -1))
+        assert validate(checked, "capacity").witness == validate(checked, "capacity").witness
+        fresh = SetFunction(2, checked.values)
+        assert checked == fresh and hash(checked) == hash(fresh)
+        assert repr(checked) == repr(fresh)
+
 
 class TestDual:
     def test_worked_table(self):
